@@ -31,7 +31,7 @@ from decimal import Decimal
 from repro import values
 from repro.cdw import stagefile
 from repro.cdw.cloudstore import CloudStore
-from repro.cdw.expressions import (_Evaluator, ColumnBatch, GatherBatch,
+from repro.cdw.expressions import (ColumnBatch, Frame, GatherBatch,
                                    RowContext, compile_expr, compile_vector,
                                    evaluate, is_true, prepare_layout,
                                    vec_values)
@@ -108,7 +108,7 @@ class CdwEngine:
         self.zone_map_pruning = zone_map_pruning
         #: store tables as typed column vectors and execute SELECT /
         #: INSERT..SELECT / COPY / plain DELETE over column batches.
-        #: False keeps row-of-tuples storage and the per-row interpreter
+        #: False keeps row-of-tuples storage and the row executor
         #: everywhere — the behavioural oracle for differential tests.
         self.columnar = columnar
         #: parsed-statement cache for SQL text handed to execute():
@@ -415,17 +415,19 @@ class CdwEngine:
             self._table_rows(source.right)
         joined: list[list[tuple[str, list[str], tuple]]] = []
         null_row = tuple([None] * len(right_columns))
+        on_fn = compile_expr(source.on) if source.kind != "CROSS" else None
+        frame = Frame(None, self._subquery_runner)
         for left in left_combos:
             matched = False
             for right_row in right_rows:
                 combo = left + [(right_binding, right_columns, right_row)]
-                if source.kind == "CROSS":
+                if on_fn is None:
                     joined.append(combo)
                     continue
-                ctx = RowContext()
+                frame.ctx = ctx = RowContext()
                 for binding, columns, row in combo:
                     ctx.bind(binding, columns, row)
-                if is_true(evaluate(source.on, ctx, self._subquery_runner)):
+                if on_fn(frame) is True:
                     joined.append(combo)
                     matched = True
             if source.kind == "LEFT" and not matched:
@@ -602,16 +604,13 @@ class CdwEngine:
         else:
             contexts = self._source_contexts(stmt.from_, outer)
             where = stmt.where
-        # One evaluator, rebound per row: on wide scans the per-row
-        # _Evaluator construction is pure overhead (it carries no
-        # per-row state beyond the context).
-        ev = _Evaluator(None, self._subquery_runner)
         if where is not None:
             where_fn = compile_expr(where)
+            frame = Frame(None, self._subquery_runner)
             kept = []
             for ctx in contexts:
-                ev.ctx = ctx
-                if where_fn(ev) is True:
+                frame.ctx = ctx
+                if where_fn(frame) is True:
                     kept.append(ctx)
             contexts = kept
         items = self._expand_items(stmt, contexts)
@@ -622,7 +621,7 @@ class CdwEngine:
         if grouped:
             rows = self._run_grouped(stmt, items, contexts)
         else:
-            rows = self._project(items, contexts, ev)
+            rows = self._project(items, contexts)
             rows = self._order_rows(stmt, rows, contexts, items)
 
         return self._finish_select(stmt, rows), columns
@@ -651,9 +650,9 @@ class CdwEngine:
     # the WHERE produces a selection, and projection / aggregation read
     # only the touched columns.  Every helper returns None the moment
     # anything falls outside the vector compiler's scope — or when eager
-    # evaluation raises — and the caller runs the per-row interpreter
-    # instead, which either succeeds (it short-circuits rows the eager
-    # path touched) or raises its canonical first error.  Statements
+    # evaluation raises — and the caller runs the row executor's scalar
+    # closures instead, which either succeed (they short-circuit rows
+    # the eager path touched) or raise the canonical first error.  Statements
     # have no effects before commit, so the re-execution is safe and the
     # two paths are observationally identical.
 
@@ -891,21 +890,21 @@ class CdwEngine:
         raise CdwError(f"unknown aggregate {name}")
 
     def _project(self, items: list[n.SelectItem],
-                 contexts: list[RowContext],
-                 ev: _Evaluator) -> list[tuple]:
+                 contexts: list[RowContext]) -> list[tuple]:
         """Evaluate the select list against each row context.
 
         When every item is an unqualified column over a single-table
         context — the shape of every bulk INSERT..SELECT and dq pass —
-        resolve the column indexes once and slice rows directly instead
-        of walking the expression tree per row.  Anything irregular
-        (extra bindings, qualified or computed items, a name the layout
-        lacks) falls back to the evaluator row by row.
+        resolve the column indexes once and slice rows directly.
+        Anything irregular (extra bindings, qualified or computed items,
+        a name the layout lacks) runs the compiled items row by row.
         """
         exprs = [item.expr for item in items]
         fast_cols = [e.name.upper() for e in exprs] \
             if exprs and all(type(e) is n.ColumnRef and e.table is None
                              for e in exprs) else None
+        fns = [compile_expr(e) for e in exprs]
+        frame = Frame(None, self._subquery_runner)
         rows: list[tuple] = []
         idxs: "list[int] | None" = None
         prev_layout: "dict[str, int] | None" = None
@@ -921,8 +920,8 @@ class CdwEngine:
                 if idxs is not None:
                     rows.append(tuple(row[i] for i in idxs))
                     continue
-            ev.ctx = ctx
-            rows.append(tuple(ev.eval(e) for e in exprs))
+            frame.ctx = ctx
+            rows.append(tuple([fn(frame) for fn in fns]))
         return rows
 
     def _order_rows(self, stmt: n.Select, rows: list[tuple],
@@ -938,19 +937,27 @@ class CdwEngine:
         for i, item in enumerate(items):
             if item.alias:
                 aliases[item.alias.upper()] = i
+        # Per key: an output position, or a compiled source expression.
+        keys: list[tuple[int | None, object, bool]] = []
+        for expr, ascending in stmt.order_by:
+            if isinstance(expr, n.Literal) and isinstance(expr.value, int):
+                keys.append((expr.value - 1, None, ascending))
+            elif isinstance(expr, n.ColumnRef) and expr.table is None \
+                    and expr.name.upper() in aliases:
+                keys.append((aliases[expr.name.upper()], None, ascending))
+            else:
+                keys.append((None, compile_expr(expr), ascending))
+        frame = Frame(None, self._subquery_runner)
 
         def order_values(pair):
             row, ctx = pair
             key = []
-            for expr, ascending in stmt.order_by:
-                if isinstance(expr, n.Literal) and isinstance(expr.value,
-                                                              int):
-                    value = row[expr.value - 1]
-                elif isinstance(expr, n.ColumnRef) and expr.table is None \
-                        and expr.name.upper() in aliases:
-                    value = row[aliases[expr.name.upper()]]
+            for position, fn, ascending in keys:
+                if position is not None:
+                    value = row[position]
                 elif ctx is not None:
-                    value = evaluate(expr, ctx, self._subquery_runner)
+                    frame.ctx = ctx
+                    value = fn(frame)
                 else:
                     raise CdwError(
                         "ORDER BY over aggregates must use output "
@@ -972,10 +979,10 @@ class CdwEngine:
         groups: dict[tuple, list[RowContext]] = {}
         if stmt.group_by:
             key_fns = [compile_expr(g) for g in stmt.group_by]
-            ev = _Evaluator(None, self._subquery_runner)
+            frame = Frame(None, self._subquery_runner)
             for ctx in contexts:
-                ev.ctx = ctx
-                key = tuple(_sort_key(fn(ev)) for fn in key_fns)
+                frame.ctx = ctx
+                key = tuple(_sort_key(fn(frame)) for fn in key_fns)
                 groups.setdefault(key, []).append(ctx)
         else:
             groups[()] = contexts
@@ -1020,11 +1027,11 @@ class CdwEngine:
         if not call.args:
             raise CdwError(f"{name} needs an argument")
         arg_fn = compile_expr(call.args[0])
-        ev = _Evaluator(None, self._subquery_runner)
+        frame = Frame(None, self._subquery_runner)
         raw = []
         for ctx in group:
-            ev.ctx = ctx
-            raw.append(arg_fn(ev))
+            frame.ctx = ctx
+            raw.append(arg_fn(frame))
         non_null = [v for v in raw if v is not None]
         if call.distinct:
             deduped = []
@@ -1059,13 +1066,12 @@ class CdwEngine:
 
     def _insert_rows_from_source(self, stmt: n.Insert) -> list[tuple]:
         if isinstance(stmt.source, n.Values):
+            # Each value runs once: compile without memoizing, so the
+            # legacy server's per-record trees leave nothing behind.
             ctx = RowContext()
-            rows = []
-            for row_exprs in stmt.source.rows:
-                rows.append(tuple(
-                    evaluate(e, ctx, self._subquery_runner)
-                    for e in row_exprs))
-            return rows
+            return [tuple([evaluate(e, ctx, self._subquery_runner)
+                           for e in row_exprs])
+                    for row_exprs in stmt.source.rows]
         if isinstance(stmt.source, (n.Select, n.SetOp)):
             rows, _ = self._run_query(stmt.source, outer=None)
             return rows
@@ -1164,6 +1170,13 @@ class CdwEngine:
             if stmt.from_ is not None else [None])
         working = list(table.rows)
         updated: dict[int, tuple] = {}
+        where_fn = compile_expr(stmt.where) if stmt.where is not None \
+            else None
+        assignments = [(a.column, compile_expr(a.value))
+                       for a in stmt.assignments]
+        frame = Frame(None, self._subquery_runner)
+        binding_upper = binding.upper()
+        layout = prepare_layout(table.column_names)
         try:
             for index, row in enumerate(working):
                 # Source rows apply in order; with several matches the
@@ -1172,17 +1185,13 @@ class CdwEngine:
                 # Hyper-Q preserve.
                 for source_ctx in source_contexts:
                     current = updated.get(index, row)
-                    ctx = RowContext(parent=source_ctx)
-                    ctx.bind(binding, table.column_names, current)
-                    if stmt.where is not None and not is_true(
-                            evaluate(stmt.where, ctx,
-                                     self._subquery_runner)):
+                    frame.ctx = ctx = RowContext(parent=source_ctx)
+                    ctx.bind_prepared(binding_upper, layout, current)
+                    if where_fn is not None and where_fn(frame) is not True:
                         continue
                     new_row = list(current)
-                    for assignment in stmt.assignments:
-                        col = table.column_index(assignment.column)
-                        new_row[col] = evaluate(
-                            assignment.value, ctx, self._subquery_runner)
+                    for column, value_fn in assignments:
+                        new_row[table.column_index(column)] = value_fn(frame)
                     updated[index] = table.coerce_row(tuple(new_row))
         except ExpressionError as exc:
             raise self._wrap_row_error(
@@ -1229,20 +1238,21 @@ class CdwEngine:
                 return result
         keep: list[tuple] = []
         deleted = 0
-        ev = _Evaluator(None, self._subquery_runner)
+        frame = Frame(None, self._subquery_runner)
         where_fn = compile_expr(stmt.where) if stmt.where is not None \
             else None
+        binding_upper = binding.upper()
+        layout = prepare_layout(table.column_names)
         try:
             for row in rows[lo:hi]:
                 doomed = False
                 for source_ctx in source_contexts:
-                    ctx = RowContext(parent=source_ctx)
-                    ctx.bind(binding, table.column_names, row)
                     if where_fn is None:
                         doomed = True
                         break
-                    ev.ctx = ctx
-                    if where_fn(ev) is True:
+                    frame.ctx = ctx = RowContext(parent=source_ctx)
+                    ctx.bind_prepared(binding_upper, layout, row)
+                    if where_fn(frame) is True:
                         doomed = True
                         break
                 if doomed:
@@ -1367,6 +1377,19 @@ class CdwEngine:
             for position, row in enumerate(working):
                 key = tuple(_sort_key(row[t]) for t, _ in equi)
                 index.setdefault(key, position)
+        matched = stmt.matched
+        not_matched = stmt.not_matched
+        on_fn = compile_expr(stmt.on)
+        matched_fn = None if matched is None or matched.condition is None \
+            else compile_expr(matched.condition)
+        assignments = [] if matched is None else [
+            (a.column, compile_expr(a.value)) for a in matched.assignments]
+        insert_when = None if not_matched is None \
+            or not_matched.condition is None \
+            else compile_expr(not_matched.condition)
+        insert_fns = [] if not_matched is None else [
+            compile_expr(value) for value in not_matched.values]
+        frame = Frame(None, self._subquery_runner)
 
         def find_match(source_row: tuple) -> int | None:
             if equi is not None and index is not None:
@@ -1378,10 +1401,10 @@ class CdwEngine:
             for position, target_row in enumerate(working):
                 if target_row is None:
                     continue
-                ctx = RowContext()
+                frame.ctx = ctx = RowContext()
                 ctx.bind(target_binding, table.column_names, target_row)
                 ctx.bind(source_binding, source_columns, source_row)
-                if is_true(evaluate(stmt.on, ctx, self._subquery_runner)):
+                if on_fn(frame) is True:
                     return position
             return None
 
@@ -1391,26 +1414,22 @@ class CdwEngine:
                 source_ctx.bind(source_binding, source_columns, source_row)
                 position = find_match(source_row)
                 if position is not None:
-                    matched = stmt.matched
                     if matched is None:
                         continue
-                    ctx = RowContext()
+                    frame.ctx = ctx = RowContext()
                     ctx.bind(target_binding, table.column_names,
                              working[position])
                     ctx.bind(source_binding, source_columns, source_row)
-                    if matched.condition is not None and not is_true(
-                            evaluate(matched.condition, ctx,
-                                     self._subquery_runner)):
+                    if matched_fn is not None and matched_fn(frame) \
+                            is not True:
                         continue
                     if matched.delete:
                         working[position] = None
                         deleted += 1
                         continue
                     new_row = list(working[position])
-                    for assignment in matched.assignments:
-                        col = table.column_index(assignment.column)
-                        new_row[col] = evaluate(
-                            assignment.value, ctx, self._subquery_runner)
+                    for column, value_fn in assignments:
+                        new_row[table.column_index(column)] = value_fn(frame)
                     working[position] = table.coerce_row(tuple(new_row))
                     if equi is not None and index is not None:
                         key = tuple(_sort_key(working[position][t])
@@ -1418,16 +1437,13 @@ class CdwEngine:
                         index.setdefault(key, position)
                     updated += 1
                     continue
-                not_matched = stmt.not_matched
                 if not_matched is None:
                     continue
-                if not_matched.condition is not None and not is_true(
-                        evaluate(not_matched.condition, source_ctx,
-                                 self._subquery_runner)):
+                frame.ctx = source_ctx
+                if insert_when is not None and insert_when(frame) \
+                        is not True:
                     continue
-                raw = tuple(
-                    evaluate(value, source_ctx, self._subquery_runner)
-                    for value in not_matched.values)
+                raw = tuple([fn(frame) for fn in insert_fns])
                 shaped = self._shape_insert_row(
                     table, not_matched.columns, raw)
                 new_row = table.coerce_row(shaped)

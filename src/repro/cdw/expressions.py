@@ -1,28 +1,52 @@
-"""Scalar expression evaluation over AST expressions.
+"""Scalar and vector expression evaluation over AST expressions.
 
 Shared by the CDW engine and the reference legacy server: the two systems
 agree on expression *semantics* (SQL three-valued logic, NULL propagation,
 cast rules) and differ only in statement-level error handling, which lives
 in their respective executors.
 
-The evaluator understands both dialects' constructs: legacy ``CAST .. AS
-DATE FORMAT 'fmt'`` is evaluated directly (the legacy server executes
+Both dialects' constructs are understood: legacy ``CAST .. AS DATE
+FORMAT 'fmt'`` is evaluated directly (the legacy server executes
 un-rewritten SQL) and CDW ``TO_DATE(x, 'fmt')`` uses the same machinery —
 by construction the cross-compiled query computes the same value.
+
+Each operator's meaning is written once, as a module function over
+already-evaluated operand values: ``_and3``/``_or3``, ``_compare``,
+``_between``, ``_in_values``, ``_like``, ``_unary``, ``_arith``,
+``_cast_value`` and the ``_FUNCTIONS`` library.  Two compilers fold an
+expression tree into closures that call those functions:
+
+* :func:`compile_expr` gives ``fn(frame) -> value`` for one row.  It
+  covers every node kind.  AND, OR and CASE short-circuit, and every
+  error (unknown function or node, unbound host parameter, ``*`` outside
+  a select list, a scalar subquery with several rows) is raised when the
+  closure runs, never when it is built.
+* :func:`compile_vector` gives ``fn(batch) -> (is_const, payload)`` over
+  a column batch.  It evaluates eagerly and returns None for nodes it
+  does not support (subqueries, outer references, ...).  The engine then
+  re-runs the statement with the scalar closures, which either succeed
+  (they short-circuit rows the eager path touched) or raise the
+  canonical first-row error.
+
+:func:`evaluate` is the one-shot entry: compile, call once, keep nothing.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 from typing import Callable
 
 from repro import values
 from repro.cdw.types import cdw_type_from_node
-from repro.errors import ExpressionError, SqlTranslationError
+from repro.errors import ExpressionError, SqlTranslationError, TypeError_
 from repro.sqlxc import nodes as n
 
-__all__ = ["RowContext", "evaluate", "is_true"]
+__all__ = ["Frame", "RowContext", "compile_expr", "compile_vector",
+           "evaluate", "is_true"]
 
 #: signature of the hook the engine provides for subquery evaluation.
 SubqueryRunner = Callable[[n.Select, "RowContext"], list[tuple]]
@@ -111,50 +135,38 @@ def is_true(value) -> bool:
     return value is True
 
 
+class Frame:
+    """What a scalar closure evaluates against: the current row context
+    and the engine's subquery hook.  Row loops rebind ``ctx`` per row."""
+
+    __slots__ = ("ctx", "runner")
+
+    def __init__(self, ctx: "RowContext | None" = None,
+                 runner: SubqueryRunner | None = None):
+        self.ctx = ctx
+        self.runner = runner
+
+
 def evaluate(expr: n.Expr, ctx: RowContext,
              subquery_runner: SubqueryRunner | None = None):
-    """Evaluate a scalar expression in a row context."""
-    return _Evaluator(ctx, subquery_runner).eval(expr)
+    """Evaluate a scalar expression once in a row context.
 
-
-def _like_to_regex(pattern: str) -> re.Pattern:
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
-
-
-def _in_literal_table(expr: n.InExpr):
-    """Set-lookup fast path for homogeneous all-literal IN lists.
-
-    Memoized on the node (one AST is evaluated once per row): without
-    it a long IN list — e.g. the dq precheck's batched routing DELETE —
-    degrades to a linear compare walk per row.  Returns ``(members,
-    saw_null, element_type)`` or ``None`` when the generic path must
-    run; strings are stored rstripped to keep CHAR-padding equality.
+    Compiles without memoizing on the tree, so a caller that binds a
+    fresh tree per record leaves nothing behind for the collector.
     """
-    cached = expr.__dict__.get("_literal_table", False)
-    if cached is not False:
-        return cached
-    table = None
-    values_ = [item.value for item in expr.items
-               if type(item) is n.Literal]
-    if expr.items and len(values_) == len(expr.items):
-        non_null = [v for v in values_ if v is not None]
-        kinds = {type(v) for v in non_null}
-        if kinds <= {int}:
-            table = (frozenset(non_null),
-                     len(non_null) < len(values_), int)
-        elif kinds == {str}:
-            table = (frozenset(v.rstrip() for v in non_null),
-                     len(non_null) < len(values_), str)
-    expr.__dict__["_literal_table"] = table
-    return table
+    return _compile(expr)(Frame(ctx, subquery_runner))
+
+
+# -- value semantics: one definition per operator ------------------------------
+
+def _to_text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, values.Timestamp):
+        return value.isoformat(sep=" ")
+    if isinstance(value, values.Date):
+        return value.isoformat()
+    return str(value)
 
 
 def _numeric(value, what: str):
@@ -165,20 +177,68 @@ def _numeric(value, what: str):
                           f"{type(value).__name__}")
 
 
-def _binary_tail(op: str, left, right):
-    """Arithmetic / concatenation semantics of a binary operator, given
-    both operand values.  Shared verbatim by the interpreter and the
-    vector compiler so the two paths cannot diverge."""
-    if op == "||":
-        if left is None or right is None:
-            return None
-        return _Evaluator._to_text(left) + _Evaluator._to_text(right)
+def _provenance(*exprs: n.Expr) -> str | None:
+    """The first input field the expressions' values came from, if
+    traceable."""
+    for expr in exprs:
+        for node in n.walk(expr):
+            if isinstance(node, (n.BoundParam, n.ColumnRef)):
+                return node.name
+    return None
+
+
+def _blame(exc: ExpressionError, *nodes: n.Expr) -> None:
+    """Name the input field behind ``nodes`` on an error that names
+    none."""
+    if exc.field is None:
+        exc.field = _provenance(*nodes)
+
+
+def _and3(left, right):
+    """Three-valued AND of two evaluated operands."""
+    if left is False:
+        return False
     if left is None or right is None:
+        return False if right is False else None
+    return bool(left) and bool(right)
+
+
+def _or3(left, right):
+    """Three-valued OR of two evaluated operands."""
+    if left is True:
+        return True
+    if left is None or right is None:
+        return True if right is True else None
+    return bool(left) or bool(right)
+
+
+def _unary(op: str, value):
+    """NOT, unary minus and unary plus; NULL stays NULL."""
+    if value is None:
         return None
-    left = _numeric(left, op)
-    right = _numeric(right, op)
+    if op == "NOT":
+        return not value
+    if op == "-":
+        return -_numeric(value, "unary minus")
+    return _numeric(value, "unary plus")
+
+
+def _arith_operands(what: str, left, right):
+    """Both operands checked numeric; Decimal wins over int and float."""
+    left = _numeric(left, what)
+    right = _numeric(right, what)
     if isinstance(left, Decimal) or isinstance(right, Decimal):
         left, right = Decimal(str(left)), Decimal(str(right))
+    return left, right
+
+
+def _arith(op: str, left, right):
+    """Arithmetic and ``||`` concatenation; NULL in, NULL out."""
+    if left is None or right is None:
+        return None
+    if op == "||":
+        return _to_text(left) + _to_text(right)
+    left, right = _arith_operands(op, left, right)
     if op == "+":
         return left + right
     if op == "-":
@@ -198,316 +258,150 @@ def _binary_tail(op: str, left, right):
     raise ExpressionError(f"unknown operator {op!r}")
 
 
-class _Evaluator:
-    #: node type -> unbound handler, filled lazily.  Saves the per-node
-    #: f-string + getattr on the scan hot path.
-    _dispatch: dict[type, "object"] = {}
+def _align(left, right):
+    """Align operand types for comparison (CHAR padding, numerics)."""
+    if isinstance(left, str) and isinstance(right, str):
+        # CHAR semantics: trailing blanks do not affect comparison.
+        return left.rstrip(), right.rstrip()
+    if isinstance(left, Decimal) and isinstance(right, float):
+        return float(left), right
+    if isinstance(left, float) and isinstance(right, Decimal):
+        return left, float(right)
+    if isinstance(left, values.Timestamp) != isinstance(
+            right, values.Timestamp) and isinstance(
+            left, values.Date) and isinstance(right, values.Date):
+        # date vs timestamp: promote the date to midnight.
+        if not isinstance(left, values.Timestamp):
+            left = values.Timestamp(left.year, left.month, left.day)
+        if not isinstance(right, values.Timestamp):
+            right = values.Timestamp(right.year, right.month, right.day)
+    return left, right
 
-    def __init__(self, ctx: RowContext,
-                 subquery_runner: SubqueryRunner | None):
-        self.ctx = ctx
-        self.subquery_runner = subquery_runner
 
-    def eval(self, expr: n.Expr):
-        t = type(expr)
-        method = _Evaluator._dispatch.get(t)
-        if method is None:
-            method = getattr(_Evaluator, f"_eval_{t.__name__}", None)
-            if method is None:
-                raise ExpressionError(
-                    f"cannot evaluate {t.__name__} node")
-            _Evaluator._dispatch[t] = method
-        return method(self, expr)
+_PY_CMP = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
-    # -- leaves ------------------------------------------------------------
 
-    def _eval_Literal(self, expr: n.Literal):
-        return expr.value
-
-    def _eval_ColumnRef(self, expr: n.ColumnRef):
-        # Memoize the uppercased names on the node and try the direct
-        # dict hit; RowContext.resolve keeps the slow/diagnostic path
-        # (parent scopes, ambiguity, unknown-column errors).
-        d = expr.__dict__
-        key = d.get("_uc")
-        if key is None:
-            key = d["_uc"] = (
-                expr.name.upper(),
-                expr.table.upper() if expr.table else None)
-        upper, tbl = key
-        bindings = self.ctx._bindings
-        if tbl is not None:
-            entry = bindings.get(tbl)
-            if entry is not None:
-                idx = entry[0].get(upper)
-                if idx is not None:
-                    return entry[1][idx]
-        elif len(bindings) == 1:
-            for layout, row in bindings.values():
-                idx = layout.get(upper)
-                if idx is not None:
-                    return row[idx]
-        return self.ctx.resolve(expr.name, expr.table)
-
-    def _eval_HostParam(self, expr: n.HostParam):
+def _compare(op: str, left, right):
+    """A comparison operator; NULL on either side gives NULL."""
+    if left is None or right is None:
+        return None
+    left, right = _align(left, right)
+    try:
+        return _PY_CMP[op](left, right)
+    except TypeError as exc:
         raise ExpressionError(
-            f"host parameter :{expr.name} reached the evaluator unbound")
+            f"cannot compare {type(left).__name__} with "
+            f"{type(right).__name__}") from exc
 
-    def _eval_BoundParam(self, expr: n.BoundParam):
-        return expr.value
 
-    @staticmethod
-    def _provenance(expr: n.Expr) -> str | None:
-        """The input field an expression's value came from, if traceable."""
-        for node in n.walk(expr):
-            if isinstance(node, (n.BoundParam, n.ColumnRef)):
-                return node.name
+def _between(value, low, high, negated: bool):
+    ge = _compare(">=", value, low)
+    le = _compare("<=", value, high)
+    if ge is None or le is None:
         return None
-
-    # -- operators -----------------------------------------------------------
-
-    def _eval_UnaryOp(self, expr: n.UnaryOp):
-        value = self.eval(expr.operand)
-        if expr.op == "NOT":
-            if value is None:
-                return None
-            return not value
-        if value is None:
-            return None
-        if expr.op == "-":
-            return -_numeric(value, "unary minus")
-        return _numeric(value, "unary plus")
-
-    def _eval_BinaryOp(self, expr: n.BinaryOp):
-        op = expr.op
-        if op in ("AND", "OR"):
-            return self._logical(op, expr.left, expr.right)
-        left = self.eval(expr.left)
-        right = self.eval(expr.right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return self._compare(op, left, right)
-        return _binary_tail(op, left, right)
-
-    def _logical(self, op: str, left_expr: n.Expr, right_expr: n.Expr):
-        left = self.eval(left_expr)
-        if op == "AND":
-            if left is False:
-                return False
-            right = self.eval(right_expr)
-            if left is None or right is None:
-                return False if right is False else None
-            return bool(left) and bool(right)
-        # OR
-        if left is True:
-            return True
-        right = self.eval(right_expr)
-        if left is None or right is None:
-            return True if right is True else None
-        return bool(left) or bool(right)
-
-    @staticmethod
-    def _to_text(value) -> str:
-        if isinstance(value, str):
-            return value
-        if isinstance(value, values.Timestamp):
-            return value.isoformat(sep=" ")
-        if isinstance(value, values.Date):
-            return value.isoformat()
-        return str(value)
-
-    def _compare(self, op: str, left, right):
-        if left is None or right is None:
-            return None
-        left, right = self._align(left, right)
-        try:
-            if op == "=":
-                return left == right
-            if op == "<>":
-                return left != right
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        except TypeError as exc:
-            raise ExpressionError(
-                f"cannot compare {type(left).__name__} with "
-                f"{type(right).__name__}") from exc
-
-    @staticmethod
-    def _align(left, right):
-        """Align operand types for comparison (CHAR padding, numerics)."""
-        if isinstance(left, str) and isinstance(right, str):
-            # CHAR semantics: trailing blanks do not affect comparison.
-            return left.rstrip(), right.rstrip()
-        if isinstance(left, Decimal) and isinstance(right, float):
-            return float(left), right
-        if isinstance(left, float) and isinstance(right, Decimal):
-            return left, float(right)
-        if isinstance(left, values.Timestamp) != isinstance(
-                right, values.Timestamp) and isinstance(
-                left, values.Date) and isinstance(right, values.Date):
-            # date vs timestamp: promote the date to midnight.
-            if not isinstance(left, values.Timestamp):
-                left = values.Timestamp(left.year, left.month, left.day)
-            if not isinstance(right, values.Timestamp):
-                right = values.Timestamp(right.year, right.month, right.day)
-        return left, right
-
-    # -- predicates -------------------------------------------------------------
-
-    def _eval_IsNull(self, expr: n.IsNull):
-        value = self.eval(expr.operand)
-        result = value is None
-        return not result if expr.negated else result
-
-    def _eval_Between(self, expr: n.Between):
-        value = self.eval(expr.operand)
-        low = self.eval(expr.low)
-        high = self.eval(expr.high)
-        ge = self._compare(">=", value, low)
-        le = self._compare("<=", value, high)
-        if ge is None or le is None:
-            result = None
-        else:
-            result = ge and le
-        if expr.negated and result is not None:
-            return not result
-        return result
-
-    def _eval_Like(self, expr: n.Like):
-        value = self.eval(expr.operand)
-        pattern = self.eval(expr.pattern)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise ExpressionError("LIKE needs string operands")
-        result = bool(_like_to_regex(pattern).match(value))
-        return not result if expr.negated else result
-
-    def _eval_InExpr(self, expr: n.InExpr):
-        value = self.eval(expr.operand)
-        if expr.subquery is not None:
-            rows = self._run_subquery(expr.subquery)
-            candidates = [row[0] for row in rows]
-        else:
-            fast = _in_literal_table(expr)
-            if fast is not None and value is not None \
-                    and type(value) is fast[2]:
-                members, saw_null, ctype = fast
-                probe = value.rstrip() if ctype is str else value
-                if probe in members:
-                    result = True
-                elif saw_null:
-                    result = None
-                else:
-                    result = False
-                if expr.negated and result is not None:
-                    return not result
-                return result
-            candidates = [self.eval(item) for item in expr.items]
-        if value is None:
-            return None
-        found = False
-        saw_null = False
-        for candidate in candidates:
-            if candidate is None:
-                saw_null = True
-                continue
-            if self._compare("=", value, candidate) is True:
-                found = True
-                break
-        if found:
-            result = True
-        elif saw_null:
-            result = None
-        else:
-            result = False
-        if expr.negated and result is not None:
-            return not result
-        return result
-
-    def _eval_Exists(self, expr: n.Exists):
-        rows = self._run_subquery(expr.subquery)
-        result = bool(rows)
-        return not result if expr.negated else result
-
-    def _eval_SubqueryExpr(self, expr: n.SubqueryExpr):
-        rows = self._run_subquery(expr.subquery)
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise ExpressionError("scalar subquery returned several rows")
-        return rows[0][0]
-
-    def _run_subquery(self, select: n.Select) -> list[tuple]:
-        if self.subquery_runner is None:
-            raise ExpressionError(
-                "subqueries are not available in this context")
-        return self.subquery_runner(select, self.ctx)
-
-    # -- conversions ---------------------------------------------------------------
-
-    def _eval_Cast(self, expr: n.Cast):
-        value = self.eval(expr.operand)
-        ctype = cdw_type_from_node(expr.type)
-        field = self._provenance(expr.operand)
-        return _cast_value(value, ctype, expr.format, expr.type.base, field)
-
-    def _eval_CaseExpr(self, expr: n.CaseExpr):
-        for when in expr.whens:
-            if is_true(self.eval(when.condition)):
-                return self.eval(when.result)
-        if expr.else_result is not None:
-            return self.eval(expr.else_result)
-        return None
-
-    # -- functions --------------------------------------------------------------------
-
-    def _eval_FuncCall(self, expr: n.FuncCall):
-        name = expr.name.upper()
-        handler = _FUNCTIONS.get(name)
-        if handler is None:
-            raise ExpressionError(f"unknown function {name}")
-        args = [self.eval(a) for a in expr.args]
-        try:
-            return handler(args)
-        except ExpressionError as exc:
-            if exc.field is None and expr.args:
-                exc.field = self._provenance(expr.args[0])
-            raise
-
-    def _eval_Star(self, expr: n.Star):
-        raise ExpressionError("'*' is only valid in a select list")
+    result = ge and le
+    return not result if negated else result
 
 
-def _cast_value(value, ctype, fmt, type_base: str, field):
-    """CAST semantics given an already-evaluated operand value.  Shared
-    by the interpreter and the vector compiler."""
+def _in_values(value, candidates, negated: bool):
+    """IN over evaluated candidates: TRUE on a match, else NULL if any
+    candidate is NULL, else FALSE.  A NULL operand gives NULL."""
     if value is None:
         return None
-    try:
-        if fmt is not None:
-            if ctype.base == "DATE":
-                if isinstance(value, values.Date):
-                    return value
-                return values.parse_date(str(value), fmt, field=field)
-            if ctype.base == "TIMESTAMP":
-                if isinstance(value, values.Timestamp):
-                    return value
-                return values.parse_timestamp(str(value), field=field)
-            raise SqlTranslationError(
-                f"FORMAT cast to {type_base} is not supported")
-        return ctype.coerce(value, field=field)
-    except ExpressionError as exc:
-        if exc.field is None:
-            exc.field = field
-        raise
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif _compare("=", value, candidate) is True:
+            return not negated
+    return None if saw_null else negated
+
+
+def _literal_table(items: list[n.Expr]):
+    """Set-lookup table for a homogeneous all-literal IN list.
+
+    Without it a long IN list — e.g. the dq precheck's batched routing
+    DELETE — degrades to a linear compare walk per row.  Returns
+    ``(members, saw_null, element_type)`` or None when only the generic
+    scan applies; strings are stored rstripped to keep CHAR-padding
+    equality.
+    """
+    values_ = [item.value for item in items if type(item) is n.Literal]
+    if not items or len(values_) != len(items):
+        return None
+    non_null = [v for v in values_ if v is not None]
+    kinds = {type(v) for v in non_null}
+    if kinds <= {int}:
+        return frozenset(non_null), len(non_null) < len(values_), int
+    if kinds == {str}:
+        return (frozenset(v.rstrip() for v in non_null),
+                len(non_null) < len(values_), str)
+    return None
+
+
+def _in_table(value, table, candidates: list, negated: bool):
+    """:func:`_in_values` over a :func:`_literal_table`'s list: a set
+    probe when the operand has the table's element type."""
+    members, saw_null, ctype = table
+    if value is None or type(value) is not ctype:
+        return _in_values(value, candidates, negated)
+    if (value.rstrip() if ctype is str else value) in members:
+        return not negated
+    return None if saw_null else negated
+
+
+@lru_cache(maxsize=1024)
+def _like_regex(pattern: str) -> re.Pattern:
+    out = []
+    for ch in pattern:
+        if ch == "%":
+            out.append(".*")
+        elif ch == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(ch))
+    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+
+
+def _like(value, pattern, negated: bool):
+    if value is None or pattern is None:
+        return None
+    if not isinstance(value, str) or not isinstance(pattern, str):
+        raise ExpressionError("LIKE needs string operands")
+    result = bool(_like_regex(pattern).match(value))
+    return not result if negated else result
+
+
+def _cast_value(value, ctype, fmt, type_base: str):
+    """CAST of an evaluated operand; the caller attaches provenance."""
+    if value is None:
+        return None
+    if fmt is not None:
+        if ctype.base == "DATE":
+            if isinstance(value, values.Date):
+                return value
+            return values.parse_date(str(value), fmt)
+        if ctype.base == "TIMESTAMP":
+            if isinstance(value, values.Timestamp):
+                return value
+            return values.parse_timestamp(str(value))
+        raise SqlTranslationError(
+            f"FORMAT cast to {type_base} is not supported")
+    return ctype.coerce(value)
 
 
 # -- scalar function library ---------------------------------------------------
+#
+# Every function takes its evaluated arguments as a list.  A NULL in any
+# argument a function cannot ignore gives NULL; a wrong operand type or a
+# bad pattern raises ExpressionError, never a bare Python exception.
 
 def _need_str(value, fn: str) -> str:
     if isinstance(value, str):
@@ -516,24 +410,31 @@ def _need_str(value, fn: str) -> str:
                           f"{type(value).__name__}")
 
 
+def _need_int(value, fn: str, rounding=int) -> int:
+    """A numeric argument as an int: a position, length or digits, or
+    the result of FLOOR/CEIL (``rounding``)."""
+    try:
+        return int(rounding(_numeric(value, fn)))
+    except (ValueError, OverflowError) as exc:     # NaN, infinity
+        raise ExpressionError(f"{fn} needs a finite number, got "
+                              f"{value!r}") from exc
+
+
 def _null_passthrough(fn):
     def wrapper(args):
-        if args and args[0] is None:
+        if args[0] is None:
             return None
         return fn(args)
     return wrapper
 
 
 def _fn_substr(args):
-    if args[0] is None:
+    if any(v is None for v in args):
         return None
     text = _need_str(args[0], "SUBSTR")
-    start = int(args[1])
-    begin = max(start - 1, 0)
-    if len(args) >= 3:
-        if args[2] is None:
-            return None
-        length = int(args[2])
+    begin = max(_need_int(args[1], "SUBSTR") - 1, 0)
+    if len(args) == 3:
+        length = _need_int(args[2], "SUBSTR")
         if length < 0:
             raise ExpressionError("SUBSTR length must be non-negative")
         return text[begin:begin + length]
@@ -564,6 +465,8 @@ def _fn_to_date(args):
     if isinstance(args[0], values.Date) \
             and not isinstance(args[0], values.Timestamp):
         return args[0]
+    if type(fmt) is not str:
+        _need_str(fmt, "TO_DATE")
     return values.parse_date(str(args[0]), fmt)
 
 
@@ -578,9 +481,10 @@ def _fn_to_timestamp(args):
 def _fn_mod(args):
     if args[0] is None or args[1] is None:
         return None
-    if args[1] == 0:
+    left, right = _arith_operands("MOD", args[0], args[1])
+    if right == 0:
         raise ExpressionError("MOD by zero")
-    return args[0] % args[1]
+    return left % right
 
 
 def _fn_extract(args):
@@ -611,77 +515,123 @@ def _fn_extract(args):
 
 
 def _fn_round(args):
-    if args[0] is None:
+    if any(v is None for v in args):
         return None
-    digits = int(args[1]) if len(args) > 1 else 0
+    digits = _need_int(args[1], "ROUND") if len(args) > 1 else 0
     value = _numeric(args[0], "ROUND")
     if isinstance(value, Decimal):
-        quantum = Decimal(1).scaleb(-digits)
-        return value.quantize(quantum)
+        try:
+            return value.quantize(Decimal(1).scaleb(-digits))
+        except InvalidOperation as exc:
+            raise ExpressionError(
+                f"ROUND({value}, {digits}) exceeds DECIMAL "
+                f"precision") from exc
     return round(float(value), digits)
 
 
+def _fn_regexp_like(args):
+    # re.search semantics (unanchored); NULL in either argument is NULL,
+    # matching the SQL standard's REGEXP_LIKE three-valued behaviour.
+    if args[0] is None or args[1] is None:
+        return None
+    pattern = _need_str(args[1], "REGEXP_LIKE")
+    try:
+        return re.search(pattern, _to_text(args[0])) is not None
+    except re.error as exc:
+        raise ExpressionError(
+            f"REGEXP_LIKE pattern {pattern!r} is invalid: {exc}") from exc
+
+
+def _fn_concat(args):
+    if any(v is None for v in args):
+        return None
+    return "".join(_to_text(v) for v in args)
+
+
+def _fn_find(fn: str):
+    """STRPOS / legacy INDEX: 1-based position of a[1] in a[0], 0 when
+    absent."""
+    def find(args):
+        if args[0] is None or args[1] is None:
+            return None
+        return _need_str(args[0], fn).find(_need_str(args[1], fn)) + 1
+    return find
+
+
+def _fn_text(fn: str, method):
+    return _null_passthrough(lambda a: method(_need_str(a[0], fn)))
+
+
+def _fn_integral(fn: str, rounding):
+    return _null_passthrough(lambda a: _need_int(a[0], fn, rounding))
+
+
 _FUNCTIONS = {
-    "TRIM": _null_passthrough(lambda a: _need_str(a[0], "TRIM").strip()),
-    "LTRIM": _null_passthrough(lambda a: _need_str(a[0], "LTRIM").lstrip()),
-    "RTRIM": _null_passthrough(lambda a: _need_str(a[0], "RTRIM").rstrip()),
-    "UPPER": _null_passthrough(lambda a: _need_str(a[0], "UPPER").upper()),
-    "LOWER": _null_passthrough(lambda a: _need_str(a[0], "LOWER").lower()),
-    "LENGTH": _null_passthrough(lambda a: len(_need_str(a[0], "LENGTH"))),
-    "CHAR_LENGTH": _null_passthrough(
-        lambda a: len(_need_str(a[0], "CHAR_LENGTH"))),
+    "TRIM": _fn_text("TRIM", str.strip),
+    "LTRIM": _fn_text("LTRIM", str.lstrip),
+    "RTRIM": _fn_text("RTRIM", str.rstrip),
+    "UPPER": _fn_text("UPPER", str.upper),
+    "LOWER": _fn_text("LOWER", str.lower),
+    "LENGTH": _fn_text("LENGTH", len),
+    "CHAR_LENGTH": _fn_text("CHAR_LENGTH", len),
     "SUBSTR": _fn_substr,
     "SUBSTRING": _fn_substr,
-    "STRPOS": _null_passthrough(
-        lambda a: None if a[1] is None
-        else _need_str(a[0], "STRPOS").find(_need_str(a[1], "STRPOS")) + 1),
+    "STRPOS": _fn_find("STRPOS"),
     "COALESCE": _fn_coalesce,
     "NULLIF": _fn_nullif,
     "ABS": _null_passthrough(lambda a: abs(_numeric(a[0], "ABS"))),
     "MOD": _fn_mod,
     "ROUND": _fn_round,
-    "FLOOR": _null_passthrough(
-        lambda a: int(__import__("math").floor(_numeric(a[0], "FLOOR")))),
-    "CEIL": _null_passthrough(
-        lambda a: int(__import__("math").ceil(_numeric(a[0], "CEIL")))),
-    "CEILING": _null_passthrough(
-        lambda a: int(__import__("math").ceil(_numeric(a[0], "CEILING")))),
+    "FLOOR": _fn_integral("FLOOR", math.floor),
+    "CEIL": _fn_integral("CEIL", math.ceil),
+    "CEILING": _fn_integral("CEILING", math.ceil),
     "TO_DATE": _fn_to_date,
     "TO_TIMESTAMP": _fn_to_timestamp,
     "EXTRACT": _fn_extract,
     # Legacy-dialect spellings (the reference server evaluates them raw).
     "ZEROIFNULL": lambda a: 0 if a[0] is None else a[0],
     "NULLIFZERO": lambda a: None if a[0] == 0 else a[0],
-    "INDEX": _null_passthrough(
-        lambda a: None if a[1] is None
-        else _need_str(a[0], "INDEX").find(_need_str(a[1], "INDEX")) + 1),
-    "CONCAT": lambda a: None if any(v is None for v in a)
-    else "".join(_Evaluator._to_text(v) for v in a),
-    # re.search semantics (unanchored); NULL in either argument is NULL,
-    # matching the SQL standard's REGEXP_LIKE three-valued behaviour.
-    "REGEXP_LIKE": lambda a: None if a[0] is None or a[1] is None
-    else re.search(_need_str(a[1], "REGEXP_LIKE"),
-                   _Evaluator._to_text(a[0])) is not None,
+    "INDEX": _fn_find("INDEX"),
+    "CONCAT": _fn_concat,
+    "REGEXP_LIKE": _fn_regexp_like,
+}
+
+#: (fewest, most) arguments of the functions that do not take exactly
+#: one; None is unbounded.
+_ARITY = {
+    "SUBSTR": (2, 3), "SUBSTRING": (2, 3), "STRPOS": (2, 2),
+    "COALESCE": (1, None), "NULLIF": (2, 2), "MOD": (2, 2),
+    "ROUND": (1, 2), "TO_DATE": (1, 2), "TO_TIMESTAMP": (1, 2),
+    "EXTRACT": (2, 2), "INDEX": (2, 2), "CONCAT": (1, None),
+    "REGEXP_LIKE": (2, 2),
 }
 
 
-# -- closure compilation -------------------------------------------------------
+def _function(expr: n.FuncCall):
+    """``(handler, None)`` for a known call, else ``(None, message)``."""
+    name = expr.name.upper()
+    handler = _FUNCTIONS.get(name)
+    if handler is None:
+        return None, f"unknown function {name}"
+    fewest, most = _ARITY.get(name, (1, 1))
+    count = len(expr.args)
+    if count < fewest or (most is not None and count > most):
+        return None, f"{name} does not take {count} argument(s)"
+    return handler, None
+
+
+# -- scalar compilation --------------------------------------------------------
 #
-# Tree-walking costs a dispatch lookup plus a method frame per node per
-# row; on the scan hot paths (WHERE filters, aggregate arguments — e.g.
-# the dq precheck's SUM(CASE …) passes) that constant dominates.
-# ``compile_expr`` folds an expression once into nested closures taking
-# the evaluator (whose ``ctx`` the caller rebinds per row).  Only the
-# hot node kinds are compiled — their closures mirror the
-# ``_eval_{Node}`` methods above line for line; anything else (casts,
-# subqueries, LIKE, …) falls back to the interpreter, so the compiled
-# form can never diverge on node kinds it does not understand.
+# ``compile_expr`` folds a tree once into nested ``fn(frame)`` closures;
+# the row loops hoist it and rebind ``frame.ctx`` per row.  No closure
+# refers to the node it is memoized on (values are read from children or
+# captured), except a Literal's, which must read ``Literal.value`` live:
+# the prepared-DML cache rebinds the ``__SEQ`` range literals of a shared
+# statement template between executions (PreparedDml.bind).
 
 def compile_expr(expr: n.Expr):
-    """The expression as a ``fn(evaluator) -> value`` closure, memoized
-    on the node.  Tree *structure* is treated as read-only; node values
-    (``Literal.value``, ``BoundParam.value``) may be rebound between
-    calls, so closures read them live."""
+    """The expression as a ``fn(frame) -> value`` closure, memoized on
+    the node.  Tree *structure* is treated as read-only."""
     d = expr.__dict__
     fn = d.get("_compiled")
     if fn is None:
@@ -690,203 +640,241 @@ def compile_expr(expr: n.Expr):
 
 
 def _compile(expr: n.Expr):
-    t = type(expr)
-    if t is n.Literal:
-        # Must read ``expr.value`` at call time, not capture it: the
-        # prepared-DML cache rebinds the ``__SEQ`` range literals of a
-        # shared statement template between executions (PreparedDml.bind).
-        return lambda ev: expr.value
-    if t is n.ColumnRef:
-        return _compile_column(expr)
-    if t is n.BoundParam:
-        return lambda ev: expr.value      # reads the live binding
-    if t is n.IsNull:
-        operand = _compile(expr.operand)
-        if expr.negated:
-            return lambda ev: operand(ev) is not None
-        return lambda ev: operand(ev) is None
-    if t is n.UnaryOp and expr.op == "NOT":
-        operand = _compile(expr.operand)
-
-        def _not(ev):
-            value = operand(ev)
-            return None if value is None else not value
-        return _not
-    if t is n.BinaryOp:
-        return _compile_binary(expr)
-    if t is n.Between:
-        return _compile_between(expr)
-    if t is n.CaseExpr:
-        return _compile_case(expr)
-    if t is n.InExpr and expr.subquery is None:
-        return _compile_in(expr)
-    if t is n.FuncCall and not expr.distinct:
-        handler = _FUNCTIONS.get(expr.name.upper())
-        if handler is not None:
-            return _compile_func(expr, handler)
-    # Anything else: interpret.  (Also the safety net for node kinds
-    # added later — they stay correct, just not compiled.)
-    return lambda ev: ev.eval(expr)
+    compiler = _SCALAR_COMPILERS.get(type(expr))
+    if compiler is None:
+        return _failing(f"cannot evaluate {type(expr).__name__} node")
+    return compiler(expr)
 
 
-def _compile_column(expr: n.ColumnRef):
+def _failing(message: str):
+    """A closure that raises ``message`` when (and only if) it runs."""
+    def _fail(frame):
+        raise ExpressionError(message)
+    return _fail
+
+
+def _c_literal(expr: n.Literal):
+    return lambda f: expr.value
+
+
+def _c_bound(expr: n.BoundParam):
+    value = expr.value
+    return lambda f: value
+
+
+def _c_host(expr: n.HostParam):
+    return _failing(
+        f"host parameter :{expr.name} reached the evaluator unbound")
+
+
+def _c_star(expr: n.Star):
+    return _failing("'*' is only valid in a select list")
+
+
+def _c_column(expr: n.ColumnRef):
     upper = expr.name.upper()
     tbl = expr.table.upper() if expr.table else None
     name, table = expr.name, expr.table
+    # The direct dict hits below are the hot path; RowContext.resolve
+    # keeps the slow/diagnostic one (parent scopes, ambiguity, unknown
+    # columns).
     if tbl is None:
-        def _unqualified(ev):
-            bindings = ev.ctx._bindings
+        def _unqualified(f):
+            bindings = f.ctx._bindings
             if len(bindings) == 1:
                 for layout, row in bindings.values():
                     idx = layout.get(upper)
                     if idx is not None:
                         return row[idx]
-            return ev.ctx.resolve(name, table)
+            return f.ctx.resolve(name, table)
         return _unqualified
 
-    def _qualified(ev):
-        entry = ev.ctx._bindings.get(tbl)
+    def _qualified(f):
+        entry = f.ctx._bindings.get(tbl)
         if entry is not None:
             idx = entry[0].get(upper)
             if idx is not None:
                 return entry[1][idx]
-        return ev.ctx.resolve(name, table)
+        return f.ctx.resolve(name, table)
     return _qualified
 
 
-def _compile_binary(expr: n.BinaryOp):
+def _c_unary(expr: n.UnaryOp):
+    operand = _compile(expr.operand)
+    op = expr.op
+    return lambda f: _unary(op, operand(f))
+
+
+def _c_binary(expr: n.BinaryOp):
     op = expr.op
     left = _compile(expr.left)
     right = _compile(expr.right)
     if op == "AND":
-        def _and(ev):
-            lv = left(ev)
-            if lv is False:
-                return False
-            rv = right(ev)
-            if lv is None or rv is None:
-                return False if rv is False else None
-            return bool(lv) and bool(rv)
+        def _and(f):
+            lv = left(f)
+            return False if lv is False else _and3(lv, right(f))
         return _and
     if op == "OR":
-        def _or(ev):
-            lv = left(ev)
-            if lv is True:
-                return True
-            rv = right(ev)
-            if lv is None or rv is None:
-                return True if rv is True else None
-            return bool(lv) or bool(rv)
+        def _or(f):
+            lv = left(f)
+            return True if lv is True else _or3(lv, right(f))
         return _or
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        compare = _Evaluator._compare
-        return lambda ev: compare(ev, op, left(ev), right(ev))
-    # arithmetic / concatenation keep the interpreter's error paths
-    return lambda ev: ev.eval(expr)
+    if op in _PY_CMP:
+        return lambda f: _compare(op, left(f), right(f))
+    return lambda f: _arith(op, left(f), right(f))
 
 
-def _compile_between(expr: n.Between):
+def _c_isnull(expr: n.IsNull):
+    operand = _compile(expr.operand)
+    if expr.negated:
+        return lambda f: operand(f) is not None
+    return lambda f: operand(f) is None
+
+
+def _c_between(expr: n.Between):
     operand = _compile(expr.operand)
     low = _compile(expr.low)
     high = _compile(expr.high)
     negated = expr.negated
-    compare = _Evaluator._compare
-
-    def _between(ev):
-        value = operand(ev)
-        ge = compare(ev, ">=", value, low(ev))
-        le = compare(ev, "<=", value, high(ev))
-        if ge is None or le is None:
-            result = None
-        else:
-            result = ge and le
-        if negated and result is not None:
-            return not result
-        return result
-    return _between
+    return lambda f: _between(operand(f), low(f), high(f), negated)
 
 
-def _compile_case(expr: n.CaseExpr):
+def _c_like(expr: n.Like):
+    operand = _compile(expr.operand)
+    pattern = _compile(expr.pattern)
+    negated = expr.negated
+    return lambda f: _like(operand(f), pattern(f), negated)
+
+
+def _c_in(expr: n.InExpr):
+    operand = _compile(expr.operand)
+    negated = expr.negated
+    if expr.subquery is not None:
+        select = expr.subquery
+
+        def _in_subquery(f):
+            value = operand(f)
+            rows = _run_subquery(f, select)
+            return _in_values(value, [row[0] for row in rows], negated)
+        return _in_subquery
+    table = _literal_table(expr.items)
+    if table is not None:
+        candidates = [item.value for item in expr.items]
+        return lambda f: _in_table(operand(f), table, candidates, negated)
+    items = tuple(_compile(item) for item in expr.items)
+    return lambda f: _in_values(operand(f), [g(f) for g in items], negated)
+
+
+def _run_subquery(frame: Frame, select: n.Select) -> list[tuple]:
+    if frame.runner is None:
+        raise ExpressionError(
+            "subqueries are not available in this context")
+    return frame.runner(select, frame.ctx)
+
+
+def _c_exists(expr: n.Exists):
+    select, negated = expr.subquery, expr.negated
+    return lambda f: bool(_run_subquery(f, select)) != negated
+
+
+def _c_subquery(expr: n.SubqueryExpr):
+    select = expr.subquery
+
+    def _scalar_subquery(f):
+        rows = _run_subquery(f, select)
+        if not rows:
+            return None
+        if len(rows) > 1:
+            raise ExpressionError("scalar subquery returned several rows")
+        return rows[0][0]
+    return _scalar_subquery
+
+
+def _c_cast(expr: n.Cast):
+    operand_node = expr.operand
+    operand = _compile(operand_node)
+    type_node, fmt = expr.type, expr.format
+    try:
+        ctype = cdw_type_from_node(type_node)
+    except TypeError_:
+        def _unmapped(f):
+            operand(f)
+            return cdw_type_from_node(type_node)     # raises again
+        return _unmapped
+
+    def _cast(f):
+        value = operand(f)
+        try:
+            return _cast_value(value, ctype, fmt, type_node.base)
+        except ExpressionError as exc:
+            _blame(exc, operand_node)
+            raise
+    return _cast
+
+
+def _c_case(expr: n.CaseExpr):
     whens = tuple((_compile(w.condition), _compile(w.result))
                   for w in expr.whens)
     else_fn = None if expr.else_result is None \
         else _compile(expr.else_result)
 
-    def _case(ev):
+    def _case(f):
         for condition, result in whens:
-            if condition(ev) is True:
-                return result(ev)
-        return None if else_fn is None else else_fn(ev)
+            if condition(f) is True:
+                return result(f)
+        return None if else_fn is None else else_fn(f)
     return _case
 
 
-def _compile_in(expr: n.InExpr):
-    fast = _in_literal_table(expr)
-    if fast is None:
-        return lambda ev: ev.eval(expr)
-    operand = _compile(expr.operand)
-    members, saw_null, ctype = fast
-    negated = expr.negated
-
-    def _in(ev):
-        value = operand(ev)
-        if value is None or type(value) is not ctype:
-            return ev.eval(expr)      # NULL / mixed-type generic path
-        probe = value.rstrip() if ctype is str else value
-        if probe in members:
-            result = True
-        elif saw_null:
-            result = None
-        else:
-            result = False
-        if negated and result is not None:
-            return not result
-        return result
-    return _in
-
-
-def _compile_func(expr: n.FuncCall, handler):
+def _c_func(expr: n.FuncCall):
+    handler, problem = _function(expr)
+    if handler is None:
+        return _failing(problem)
     arg_fns = tuple(_compile(a) for a in expr.args)
+    arg_nodes = tuple(expr.args)
 
-    def _call(ev):
-        args = [fn(ev) for fn in arg_fns]
+    def _call(f):
+        args = [fn(f) for fn in arg_fns]
         try:
             return handler(args)
         except ExpressionError as exc:
-            if exc.field is None and expr.args:
-                exc.field = _Evaluator._provenance(expr.args[0])
+            _blame(exc, *arg_nodes)
             raise
     return _call
 
 
+_SCALAR_COMPILERS = {
+    n.Literal: _c_literal,
+    n.BoundParam: _c_bound,
+    n.HostParam: _c_host,
+    n.Star: _c_star,
+    n.ColumnRef: _c_column,
+    n.UnaryOp: _c_unary,
+    n.BinaryOp: _c_binary,
+    n.IsNull: _c_isnull,
+    n.Between: _c_between,
+    n.Like: _c_like,
+    n.InExpr: _c_in,
+    n.Exists: _c_exists,
+    n.SubqueryExpr: _c_subquery,
+    n.Cast: _c_cast,
+    n.CaseExpr: _c_case,
+    n.FuncCall: _c_func,
+}
+
+
 # -- vectorized compilation ----------------------------------------------------
 #
-# The closure compiler above still runs once per row.  For columnar
-# tables the engine instead compiles an expression once per (layout,
+# For columnar tables the engine compiles an expression once per (layout,
 # binding) into a *vector* closure: ``fn(batch) -> (is_const, payload)``
 # where payload is either a single value (constant over the batch) or a
 # list with one entry per batch row.  Evaluation is eager — both AND
-# operands, every CASE arm — which is safe because the engine falls back
-# to the row path on any ExpressionError, reproducing the interpreter's
-# short-circuit and error behaviour exactly.  ``compile_vector`` returns
-# None for any node kind it does not understand; the engine then keeps
-# the row path for the whole statement, so vectorized execution can
-# never change semantics, only speed.
-
-#: evaluator instance backing the vector closures' _compare calls
-#: (carries no state the closures use).
-_VEC_EV = _Evaluator(None, None)
-
-_CMP_OPS = ("=", "<>", "<", "<=", ">", ">=")
-
-_PY_CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+# operands, every CASE arm — which is safe because the engine re-runs the
+# statement with the scalar closures on any ExpressionError, reproducing
+# their short-circuit and error behaviour exactly.  Per-value work calls
+# the same value functions as the scalar closures, so the two compilers
+# cannot disagree on a value; the int/str loops below only skip
+# ``_compare``'s alignment for operands that need none.
 
 
 class ColumnBatch:
@@ -963,7 +951,7 @@ def compile_vector(expr: n.Expr, layout: dict[str, int],
     (subqueries, outer references, unknown columns, ...), in which case
     the caller must use the row path.  Memoized per (layout, binding)
     on the node; like ``compile_expr``, closures read ``Literal.value``
-    and ``BoundParam.value`` live so prepared-DML rebinding works.
+    live so prepared-DML rebinding works.
     """
     cache = expr.__dict__.get("_vcompiled")
     if cache is None:
@@ -982,7 +970,8 @@ def _vcompile(expr: n.Expr, layout: dict[str, int], bu: str):
     if t is n.Literal:
         return lambda b: (True, expr.value)      # reads the live binding
     if t is n.BoundParam:
-        return lambda b: (True, expr.value)
+        value = expr.value
+        return lambda b: (True, value)
     if t is n.ColumnRef:
         if expr.table is not None and expr.table.upper() != bu:
             return None                          # outer/other binding
@@ -990,27 +979,30 @@ def _vcompile(expr: n.Expr, layout: dict[str, int], bu: str):
         if idx is None:
             return None                          # unknown: row path errors
         return lambda b: (False, b.col(idx))
-    if t is n.IsNull:
-        return _vcompile_isnull(expr, layout, bu)
-    if t is n.UnaryOp:
-        return _vcompile_unary(expr, layout, bu)
-    if t is n.BinaryOp:
-        return _vcompile_binary(expr, layout, bu)
-    if t is n.Between:
-        return _vcompile_between(expr, layout, bu)
-    if t is n.CaseExpr:
-        return _vcompile_case(expr, layout, bu)
-    if t is n.InExpr and expr.subquery is None:
-        return _vcompile_in(expr, layout, bu)
-    if t is n.Like:
-        return _vcompile_like(expr, layout, bu)
-    if t is n.Cast:
-        return _vcompile_cast(expr, layout, bu)
-    if t is n.FuncCall and not expr.distinct:
-        handler = _FUNCTIONS.get(expr.name.upper())
-        if handler is not None:
-            return _vcompile_func(expr, handler, layout, bu)
-    return None
+    compiler = _VECTOR_COMPILERS.get(t)
+    if compiler is None:
+        return None
+    return compiler(expr, layout, bu)
+
+
+def _vcompile_all(exprs, layout, bu):
+    """Vector closures for several children, or None if any is None."""
+    fns = [compile_vector(e, layout, bu) for e in exprs]
+    return None if any(fn is None for fn in fns) else fns
+
+
+def _zip_results(fn, results: list, nrows: int):
+    """Apply ``fn`` to each row's operand values; constant when every
+    operand result is."""
+    if all(const for const, _ in results):
+        return (True, fn(*[payload for _, payload in results]))
+    return (False, [fn(*args) for args in zip(
+        *[vec_values(r, nrows) for r in results])])
+
+
+def _v_zip(fn, operands):
+    """A vector closure applying ``fn`` per row to several operands."""
+    return lambda b: _zip_results(fn, [op(b) for op in operands], b.length)
 
 
 def _vcompile_isnull(expr: n.IsNull, layout, bu):
@@ -1022,8 +1014,7 @@ def _vcompile_isnull(expr: n.IsNull, layout, bu):
     def _isnull(b):
         const, payload = operand(b)
         if const:
-            result = payload is None
-            return (True, not result if negated else result)
+            return (True, (payload is None) != negated)
         if negated:
             return (False, [v is not None for v in payload])
         return (False, [v is None for v in payload])
@@ -1036,168 +1027,97 @@ def _vcompile_unary(expr: n.UnaryOp, layout, bu):
         return None
     op = expr.op
 
-    def _scalar(v):
-        if v is None:
-            return None
-        if op == "NOT":
-            return not v
-        if op == "-":
-            return -_numeric(v, "unary minus")
-        return +_numeric(v, "unary plus")
-
-    def _unary(b):
+    def _unary_v(b):
         const, payload = operand(b)
         if const:
-            return (True, _scalar(payload))
-        return (False, [_scalar(v) for v in payload])
-    return _unary
-
-
-def _v_and(lv, rv):
-    """Three-valued AND given both operand values (mirrors _logical)."""
-    if lv is False:
-        return False
-    if lv is None or rv is None:
-        return False if rv is False else None
-    return bool(lv) and bool(rv)
-
-
-def _v_or(lv, rv):
-    """Three-valued OR given both operand values (mirrors _logical)."""
-    if lv is True:
-        return True
-    if lv is None or rv is None:
-        return True if rv is True else None
-    return bool(lv) or bool(rv)
+            return (True, _unary(op, payload))
+        return (False, [_unary(op, v) for v in payload])
+    return _unary_v
 
 
 def _vcompile_binary(expr: n.BinaryOp, layout, bu):
     op = expr.op
-    left = compile_vector(expr.left, layout, bu)
-    right = compile_vector(expr.right, layout, bu)
-    if left is None or right is None:
+    operands = _vcompile_all((expr.left, expr.right), layout, bu)
+    if operands is None:
         return None
-    if op in ("AND", "OR"):
-        pair = _v_and if op == "AND" else _v_or
-
-        def _logic(b):
-            lres, rres = left(b), right(b)
-            if lres[0] and rres[0]:
-                return (True, pair(lres[1], rres[1]))
-            nrows = b.length
-            lv = vec_values(lres, nrows)
-            rv = vec_values(rres, nrows)
-            return (False, [pair(a, c) for a, c in zip(lv, rv)])
-        return _logic
-    if op in _CMP_OPS:
-        return _vcompile_compare(op, left, right)
-
-    def _arith(b):
-        lres, rres = left(b), right(b)
-        if lres[0] and rres[0]:
-            return (True, _binary_tail(op, lres[1], rres[1]))
-        nrows = b.length
-        lv = vec_values(lres, nrows)
-        rv = vec_values(rres, nrows)
-        return (False, [_binary_tail(op, a, c) for a, c in zip(lv, rv)])
-    return _arith
+    if op == "AND":
+        return _v_zip(_and3, operands)
+    if op == "OR":
+        return _v_zip(_or3, operands)
+    if op in _PY_CMP:
+        return _vcompile_compare(op, *operands)
+    return _v_zip(lambda lv, rv: _arith(op, lv, rv), operands)
 
 
 def _vcompile_compare(op: str, left, right):
-    compare = _VEC_EV._compare
     pyop = _PY_CMP[op]
 
     def _cmp(b):
-        lres, rres = left(b), right(b)
-        lc, lv = lres
-        rc, rv = rres
+        lc, lv = left(b)
+        rc, rv = right(b)
         if lc and rc:
-            return (True, compare(op, lv, rv))
+            return (True, _compare(op, lv, rv))
         if lc:                                   # const <op> vector
             if lv is None:
                 return (True, None)
             if type(lv) is int:
                 return (False, [
                     None if v is None else
-                    (pyop(lv, v) if type(v) is int else compare(op, lv, v))
+                    (pyop(lv, v) if type(v) is int else _compare(op, lv, v))
                     for v in rv])
-            return (False, [None if v is None else compare(op, lv, v)
-                            for v in rv])
+            return (False, [_compare(op, lv, v) for v in rv])
         if rc:                                   # vector <op> const
             if rv is None:
                 return (True, None)
             if type(rv) is int:
                 return (False, [
                     None if v is None else
-                    (pyop(v, rv) if type(v) is int else compare(op, v, rv))
+                    (pyop(v, rv) if type(v) is int else _compare(op, v, rv))
                     for v in lv])
             if type(rv) is str:
                 cr = rv.rstrip()
                 return (False, [
                     None if v is None else
                     (pyop(v.rstrip(), cr) if type(v) is str
-                     else compare(op, v, rv))
+                     else _compare(op, v, rv))
                     for v in lv])
-            return (False, [None if v is None else compare(op, v, rv)
-                            for v in lv])
-        return (False, [compare(op, a, c) for a, c in zip(lv, rv)])
+            return (False, [_compare(op, v, rv) for v in lv])
+        return (False, [_compare(op, a, c) for a, c in zip(lv, rv)])
     return _cmp
 
 
 def _vcompile_between(expr: n.Between, layout, bu):
-    operand = compile_vector(expr.operand, layout, bu)
-    low = compile_vector(expr.low, layout, bu)
-    high = compile_vector(expr.high, layout, bu)
-    if operand is None or low is None or high is None:
+    operands = _vcompile_all((expr.operand, expr.low, expr.high),
+                             layout, bu)
+    if operands is None:
         return None
     negated = expr.negated
-    compare = _VEC_EV._compare
 
-    def _pair(value, lo, hi):
-        ge = compare(">=", value, lo)
-        le = compare("<=", value, hi)
-        if ge is None or le is None:
-            result = None
-        else:
-            result = ge and le
-        if negated and result is not None:
-            return not result
-        return result
+    def between(v, lo, hi):
+        return _between(v, lo, hi, negated)
 
-    def _between(b):
-        vres, lres, hres = operand(b), low(b), high(b)
-        if vres[0] and lres[0] and hres[0]:
-            return (True, _pair(vres[1], lres[1], hres[1]))
-        nrows = b.length
-        if not vres[0] and lres[0] and hres[0] \
-                and type(lres[1]) is int and type(hres[1]) is int:
-            lo, hi = lres[1], hres[1]
-            if negated:
-                return (False, [
-                    None if v is None else
-                    (not lo <= v <= hi if type(v) is int
-                     else _pair(v, lo, hi))
-                    for v in vres[1]])
-            return (False, [
-                None if v is None else
-                (lo <= v <= hi if type(v) is int else _pair(v, lo, hi))
-                for v in vres[1]])
-        value_at = _value_getter(vres)
-        lo_at = _value_getter(lres)
-        hi_at = _value_getter(hres)
-        return (False, [_pair(value_at(i), lo_at(i), hi_at(i))
-                        for i in range(nrows)])
-    return _between
+    def _between_v(b):
+        results = [op(b) for op in operands]
+        (vc, vv), (lc, lo), (hc, hi) = results
+        if vc or not (lc and hc) \
+                or type(lo) is not int or type(hi) is not int:
+            return _zip_results(between, results, b.length)
+        # vector BETWEEN int constants: skip _compare's alignment for
+        # int values, which need none.
+        return (False, [
+            None if v is None else
+            ((lo <= v <= hi) != negated if type(v) is int
+             else between(v, lo, hi))
+            for v in vv])
+    return _between_v
 
 
 def _vcompile_case(expr: n.CaseExpr, layout, bu):
-    whens = []
-    for when in expr.whens:
-        condition = compile_vector(when.condition, layout, bu)
-        result = compile_vector(when.result, layout, bu)
-        if condition is None or result is None:
-            return None
-        whens.append((condition, result))
+    flat = [e for w in expr.whens for e in (w.condition, w.result)]
+    fns = _vcompile_all(flat, layout, bu)
+    if fns is None:
+        return None
+    whens = list(zip(fns[::2], fns[1::2]))
     else_fn = None
     if expr.else_result is not None:
         else_fn = compile_vector(expr.else_result, layout, bu)
@@ -1224,155 +1144,93 @@ def _vcompile_case(expr: n.CaseExpr, layout, bu):
 
 
 def _vcompile_in(expr: n.InExpr, layout, bu):
-    operand = compile_vector(expr.operand, layout, bu)
-    if operand is None:
+    if expr.subquery is not None:
         return None
-    item_fns = []
-    for item in expr.items:
-        fn = compile_vector(item, layout, bu)
-        if fn is None:
-            return None
-        item_fns.append(fn)
+    operand = compile_vector(expr.operand, layout, bu)
+    items = _vcompile_all(expr.items, layout, bu)
+    if operand is None or items is None:
+        return None
     negated = expr.negated
-    fast = _in_literal_table(expr)
-    compare = _VEC_EV._compare
+    table = _literal_table(expr.items)
+    if table is not None:
+        candidates = [item.value for item in expr.items]
 
-    def _generic(value, candidates):
-        # Mirrors the interpreter's per-row IN scan exactly.
-        if value is None:
-            return None
-        found = False
-        saw_null = False
-        for candidate in candidates:
-            if candidate is None:
-                saw_null = True
-                continue
-            if compare("=", value, candidate) is True:
-                found = True
-                break
-        if found:
-            result = True
-        elif saw_null:
-            result = None
-        else:
-            result = False
-        if negated and result is not None:
-            return not result
-        return result
-
-    def _in(b):
-        vres = operand(b)
-        nrows = b.length
-        if fast is not None:
-            members, saw_null, ctype = fast
-            vv = [vres[1]] if vres[0] else vres[1]
-            out = []
-            append = out.append
-            candidates = None
-            for value in vv:
-                if value is not None and type(value) is ctype:
-                    probe = value.rstrip() if ctype is str else value
-                    if probe in members:
-                        result = True
-                    elif saw_null:
-                        result = None
-                    else:
-                        result = False
-                    if negated and result is not None:
-                        result = not result
-                    append(result)
-                else:
-                    if candidates is None:
-                        candidates = [g(0) for g in
-                                      (_value_getter(f(b))
-                                       for f in item_fns)]
-                    append(_generic(value, candidates))
-            if vres[0]:
-                return (True, out[0])
-            return (False, out)
-        item_results = [f(b) for f in item_fns]
-        if vres[0] and all(const for const, _ in item_results):
-            return (True, _generic(
-                vres[1], [payload for _, payload in item_results]))
-        item_getters = [_value_getter(r) for r in item_results]
-        value_at = _value_getter(vres)
-        return (False, [_generic(value_at(i),
-                                 [g(i) for g in item_getters])
-                        for i in range(nrows)])
-    return _in
+        def _in_literals(b):
+            const, payload = operand(b)
+            if const:
+                return (True, _in_table(payload, table, candidates,
+                                        negated))
+            return (False, [_in_table(v, table, candidates, negated)
+                            for v in payload])
+        return _in_literals
+    return _v_zip(lambda v, *cands: _in_values(v, cands, negated),
+                  [operand] + items)
 
 
 def _vcompile_like(expr: n.Like, layout, bu):
-    operand = compile_vector(expr.operand, layout, bu)
-    pattern = compile_vector(expr.pattern, layout, bu)
-    if operand is None or pattern is None:
+    operands = _vcompile_all((expr.operand, expr.pattern), layout, bu)
+    if operands is None:
         return None
     negated = expr.negated
-    regex_cache: dict[str, "re.Pattern"] = {}
-
-    def _pair(value, pat):
-        if value is None or pat is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pat, str):
-            raise ExpressionError("LIKE needs string operands")
-        regex = regex_cache.get(pat)
-        if regex is None:
-            regex = regex_cache[pat] = _like_to_regex(pat)
-        result = bool(regex.match(value))
-        return not result if negated else result
-
-    def _like(b):
-        vres, pres = operand(b), pattern(b)
-        if vres[0] and pres[0]:
-            return (True, _pair(vres[1], pres[1]))
-        nrows = b.length
-        value_at = _value_getter(vres)
-        pat_at = _value_getter(pres)
-        return (False, [_pair(value_at(i), pat_at(i))
-                        for i in range(nrows)])
-    return _like
+    return _v_zip(lambda v, pat: _like(v, pat, negated), operands)
 
 
 def _vcompile_cast(expr: n.Cast, layout, bu):
     operand = compile_vector(expr.operand, layout, bu)
     if operand is None:
         return None
-    ctype = cdw_type_from_node(expr.type)
-    fmt = expr.format
-    type_base = expr.type.base
-    field = _Evaluator._provenance(expr.operand)
+    try:
+        ctype = cdw_type_from_node(expr.type)
+    except TypeError_:
+        return None                      # the row path raises it
+    fmt, type_base = expr.format, expr.type.base
+    operand_node = expr.operand
 
     def _cast(b):
         const, payload = operand(b)
-        if const:
-            return (True, _cast_value(payload, ctype, fmt,
-                                      type_base, field))
-        return (False, [_cast_value(v, ctype, fmt, type_base, field)
-                        for v in payload])
+        try:
+            if const:
+                return (True, _cast_value(payload, ctype, fmt, type_base))
+            return (False, [_cast_value(v, ctype, fmt, type_base)
+                            for v in payload])
+        except ExpressionError as exc:
+            _blame(exc, operand_node)
+            raise
     return _cast
 
 
-def _vcompile_func(expr: n.FuncCall, handler, layout, bu):
-    arg_fns = []
-    for arg in expr.args:
-        fn = compile_vector(arg, layout, bu)
-        if fn is None:
-            return None
-        arg_fns.append(fn)
+def _vcompile_func(expr: n.FuncCall, layout, bu):
+    handler, _ = _function(expr)
+    if handler is None:
+        return None
+    args = _vcompile_all(expr.args, layout, bu)
+    if args is None:
+        return None
+    arg_nodes = tuple(expr.args)
 
     def _call(b):
-        results = [fn(b) for fn in arg_fns]
+        results = [fn(b) for fn in args]
         try:
             if all(const for const, _ in results):
                 return (True, handler([payload for _, payload in results]))
-            nrows = b.length
             if len(results) == 1:
-                vec = vec_values(results[0], nrows)
-                return (False, [handler([v]) for v in vec])
-            vecs = [vec_values(r, nrows) for r in results]
-            return (False, [handler(list(args)) for args in zip(*vecs)])
+                return (False, [handler([v]) for v in results[0][1]])
+            vecs = [vec_values(r, b.length) for r in results]
+            return (False, [handler(list(row)) for row in zip(*vecs)])
         except ExpressionError as exc:
-            if exc.field is None and expr.args:
-                exc.field = _Evaluator._provenance(expr.args[0])
+            _blame(exc, *arg_nodes)
             raise
     return _call
+
+
+_VECTOR_COMPILERS = {
+    n.IsNull: _vcompile_isnull,
+    n.UnaryOp: _vcompile_unary,
+    n.BinaryOp: _vcompile_binary,
+    n.Between: _vcompile_between,
+    n.CaseExpr: _vcompile_case,
+    n.InExpr: _vcompile_in,
+    n.Like: _vcompile_like,
+    n.Cast: _vcompile_cast,
+    n.FuncCall: _vcompile_func,
+}

@@ -8,6 +8,7 @@ statement, which is what forces Hyper-Q's adaptive error handling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
@@ -172,7 +173,7 @@ class CdwType:
         elif isinstance(value, int):
             result = value
         elif isinstance(value, (float, Decimal)):
-            if value != int(value):
+            if not math.isfinite(value) or value != int(value):
                 raise ExpressionError(
                     f"non-integral value {value} for {self.base}",
                     field=field)
@@ -215,6 +216,9 @@ class CdwType:
         except InvalidOperation as exc:
             raise ExpressionError(
                 f"DECIMAL conversion failed: {value!r}", field=field) from exc
+        if not result.is_finite():
+            raise ExpressionError(
+                f"DECIMAL conversion failed: {value!r}", field=field)
         if self.scale is not None:
             quantum = Decimal(1).scaleb(-self.scale)
             try:

@@ -65,7 +65,7 @@ class HyperQConfig:
     zone_map_pruning: bool = True
     #: store CDW tables as typed column vectors and evaluate scans /
     #: aggregates / bulk DML over column batches; False keeps the
-    #: row-of-tuples storage and the per-row interpreter (the
+    #: row-of-tuples storage and the row executor (the
     #: differential-testing and A/B baseline).
     columnar: bool = True
     #: worker threads for BulkLoader.upload_directory.

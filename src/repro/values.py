@@ -103,7 +103,12 @@ def parse_date(text: str, fmt: str = DEFAULT_DATE_FORMAT,
     the error that, during the application phase, becomes a row in the
     transformation error table (code 3103 in Figure 6).
     """
-    match = _format_regex(fmt).fullmatch(text.strip())
+    try:
+        regex = _format_regex(fmt)
+    except re.error as exc:          # e.g. a repeated YYYY atom
+        raise ExpressionError(f"bad date format {fmt!r}: {exc}",
+                              field=field) from exc
+    match = regex.fullmatch(text.strip())
     if match is None:
         raise ExpressionError(
             f"DATE conversion failed: {text!r} does not match format {fmt!r}",

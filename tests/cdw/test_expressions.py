@@ -1,13 +1,17 @@
 """Tests for the scalar expression evaluator."""
 
 import datetime
+import gc
 from decimal import Decimal
 
 import pytest
 
+from repro.cdw.engine import CdwEngine
 from repro.cdw.expressions import RowContext, evaluate, is_true
 from repro.errors import ExpressionError
-from repro.sqlxc.parser import parse_expression
+from repro.sqlxc import nodes as n
+from repro.sqlxc.parser import parse_expression, parse_statement
+from repro.sqlxc.rewrites import bind_params_to_values
 
 
 def ev(sql: str, dialect: str = "cdw", **columns):
@@ -237,3 +241,149 @@ class TestContext:
     def test_unbound_host_param_raises(self):
         with pytest.raises(ExpressionError):
             ev(":X", dialect="legacy")
+
+
+class TestFunctionArguments:
+    """Bad scalar-function arguments: NULL gives NULL, anything else
+    raises ExpressionError naming the input field — never a bare
+    TypeError/ValueError/re.error the engine's handlers would miss."""
+
+    @pytest.mark.parametrize("sql", [
+        "SUBSTR('abc', NULL)", "SUBSTR('abc', 1, NULL)",
+        "SUBSTR(NULL, 1)", "ROUND(1.5, NULL)", "ROUND(NULL, 1)",
+        "MOD(NULL, 2)", "MOD(7, NULL)", "REGEXP_LIKE('a', NULL)",
+    ])
+    def test_null_argument_gives_null(self, sql):
+        assert ev(sql) is None
+
+    @pytest.mark.parametrize("sql", [
+        "MOD('%d', 5)", "MOD('a', 2)", "MOD(2, 'a')",
+        "SUBSTR('abc', 'x')", "SUBSTR('abc', 1, 'x')", "SUBSTR(5, 1)",
+        "ROUND(1.5, 'x')", "ROUND('x', 1)", "REGEXP_LIKE('a', '(')",
+        "TO_DATE('2020', 'YYYYYYYY')", "FLOOR(CAST('inf' AS DOUBLE))",
+        "CAST(CAST('inf' AS DOUBLE) AS INT)", "CAST('nan' AS DECIMAL(8,2))",
+        "UPPER('a', 'b')", "SUBSTR('abc')",
+    ])
+    def test_bad_argument_raises_expression_error(self, sql):
+        with pytest.raises(ExpressionError):
+            ev(sql)
+
+    def test_mod_keeps_numeric_semantics(self):
+        assert ev("MOD(7, 3)") == 1
+        assert ev("MOD(7.5, 2)") == Decimal("1.5")
+
+    def test_error_names_the_field(self):
+        with pytest.raises(ExpressionError) as info:
+            ev("SUBSTR(s, 'x')", s="abc")
+        assert info.value.field == "s"
+        with pytest.raises(ExpressionError) as info:
+            ev("REGEXP_LIKE('abc', s)", s="(")
+        assert info.value.field == "s"
+
+    @pytest.fixture
+    def engine(self):
+        engine = CdwEngine()
+        engine.execute("CREATE TABLE T (S NVARCHAR(10), N INT)")
+        engine.execute("INSERT INTO T VALUES ('abc', 1)")
+        return engine
+
+    def test_through_the_engine(self, engine):
+        assert engine.query("SELECT SUBSTR('abc', NULL)") == [(None,)]
+        for sql in ("SELECT MOD('%d', 5)", "SELECT ROUND(1.5, 'x')",
+                    "SELECT REGEXP_LIKE('a', '(')"):
+            with pytest.raises(ExpressionError):
+                engine.query(sql)
+
+    def test_vector_path_null_position(self, engine):
+        """Column-batch execution: the NULL position is NULL per row
+        instead of a TypeError escaping the row-path fallback."""
+        assert engine.query(
+            "SELECT S FROM T WHERE SUBSTR(S, NULL) IS NULL") == [("abc",)]
+        with pytest.raises(ExpressionError) as info:
+            engine.query("SELECT MOD(S, 2) FROM T")
+        assert info.value.field == "S"
+
+
+class TestErrorsAtEvaluationTime:
+    """Compiling never raises: an error belongs to the row that
+    evaluates the failing node."""
+
+    def test_unknown_function_in_untaken_case_arm(self):
+        assert ev("CASE WHEN a > 1 THEN 'big' ELSE FROBNICATE(a) END",
+                  a=5) == "big"
+        with pytest.raises(ExpressionError):
+            ev("CASE WHEN a > 1 THEN 'big' ELSE FROBNICATE(a) END", a=0)
+
+    def test_host_param_in_untaken_case_arm(self):
+        assert ev("CASE WHEN a > 1 THEN 1 ELSE :X END", dialect="legacy",
+                  a=5) == 1
+        with pytest.raises(ExpressionError):
+            ev("CASE WHEN a > 1 THEN 1 ELSE :X END", dialect="legacy", a=0)
+
+    def test_short_circuit_skips_failing_operand(self):
+        assert ev("a > 1 OR FROBNICATE(a) = 1", a=5) is True
+        assert ev("a > 1 AND FROBNICATE(a) = 1", a=0) is False
+
+    def test_star_outside_select_list_raises(self):
+        with pytest.raises(ExpressionError):
+            evaluate(n.Star(), RowContext())
+        with pytest.raises(ExpressionError):
+            evaluate(n.BinaryOp("+", n.Literal(1), n.Star()), RowContext())
+
+    def test_unknown_node_raises(self):
+        with pytest.raises(ExpressionError):
+            evaluate(n.WhenClause(n.Literal(True), n.Literal(1)),
+                     RowContext())
+
+    def test_statements_compile_without_rows(self):
+        engine = CdwEngine()
+        engine.execute("CREATE TABLE T (I INT)")
+        assert engine.query("SELECT FROBNICATE(I) FROM T") == []
+        engine.execute("INSERT INTO T VALUES (1)")
+        with pytest.raises(ExpressionError):
+            engine.query("SELECT FROBNICATE(I) FROM T")
+
+    def test_scalar_subquery_with_several_rows_raises(self):
+        engine = CdwEngine()
+        engine.execute("CREATE TABLE T (I INT)")
+        engine.execute("INSERT INTO T VALUES (1)")
+        assert engine.query("SELECT (SELECT I FROM T) FROM T") == [(1,)]
+        engine.execute("INSERT INTO T VALUES (2)")
+        with pytest.raises(ExpressionError, match="several rows"):
+            engine.query("SELECT (SELECT I FROM T) FROM T")
+
+
+def _garbage_after(run, times=50) -> int:
+    """Objects the cycle collector finds after ``run`` ran ``times``."""
+    run(0)                     # warm caches outside the measurement
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(times):
+            run(i)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_per_record_trees_leave_no_garbage():
+    """The legacy server binds a fresh tree per record; evaluating it —
+    one-shot or through an engine statement, row or vector path — must
+    not leave node <-> closure reference cycles behind."""
+    template = parse_expression(
+        "CASE WHEN TRIM(:K) = 'a' THEN CAST(:V AS INT) "
+        "ELSE LENGTH(:K) END", "legacy")
+    ctx = RowContext()
+    assert _garbage_after(lambda i: evaluate(
+        bind_params_to_values(template, {"K": "a", "V": str(i)}),
+        ctx)) == 0
+
+    engine = CdwEngine()
+    engine.execute("CREATE TABLE T (K VARCHAR(8), V INT)")
+    statements = [parse_statement(sql, dialect="legacy") for sql in (
+        "insert into T values (trim(:K), :V)",
+        "update T set V = :V + 1 where K = trim(:K)",
+        "delete from T where K = :K and V > 100")]
+    assert _garbage_after(lambda i: [
+        engine.execute(bind_params_to_values(s, {"K": "a", "V": i}))
+        for s in statements]) == 0

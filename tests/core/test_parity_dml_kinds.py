@@ -40,21 +40,20 @@ def run_job(connect, apply_sql: str, data: bytes, chunk_bytes: int = 24):
     return result
 
 
-def both(apply_sql: str, data: bytes, chunk_bytes: int = 24):
+def both(apply_sql: str, data: bytes, chunk_bytes: int = 24,
+         query: str = "SELECT K, V FROM T ORDER BY K"):
     server = LegacyServer().start()
     try:
         legacy_result = run_job(server.connect, apply_sql, data,
                                 chunk_bytes)
-        legacy_table = server.engine.query(
-            "SELECT K, V FROM T ORDER BY K")
+        legacy_table = server.engine.query(query)
     finally:
         server.stop()
     stack = build_stack(config=HyperQConfig(credits=8))
     try:
         hyperq_result = run_job(stack.node.connect, apply_sql, data,
                                 chunk_bytes)
-        hyperq_table = stack.engine.query(
-            "SELECT K, V FROM T ORDER BY K")
+        hyperq_table = stack.engine.query(query)
     finally:
         stack.close()
     return legacy_result, legacy_table, hyperq_result, hyperq_table
@@ -113,3 +112,23 @@ class TestUpsertParity:
         data = (b"a|u1\nq|c1\na|u2\nq|u-after-c\nr|c2\n")
         lr, lt, hr, ht = both(self.UPSERT, data, chunk_bytes)
         assert lt == ht
+
+
+class TestBadFunctionArgumentParity:
+    def test_bad_regex_per_row_lands_in_et(self):
+        """A per-record invalid pattern is an expression error for that
+        record alone: the legacy server's tuple-at-a-time apply and the
+        gateway's set-oriented DML (vector path, row fallback, then
+        Beta's split) send the same records to ET with the same field."""
+        data = b"d|x\ne|(\nf|[a\ng|.\n"
+        apply_sql = ("insert into T values (trim(:K), case when "
+                     "regexp_like('x', :V) then 'hit' else 'miss' end)")
+        lr, lt, hr, ht = both(apply_sql, data, chunk_bytes=8)
+        assert lr.et_errors == hr.et_errors == 2
+        assert lr.rows_inserted == hr.rows_inserted == 2
+        assert lt == ht
+        assert ("d", "hit") in ht and ("g", "hit") in ht
+        lr, let, hr, het = both(
+            apply_sql, data, chunk_bytes=8,
+            query="SELECT SEQNO, ERRFIELD FROM T_ET ORDER BY SEQNO")
+        assert let == het == [(2, "V"), (3, "V")]
