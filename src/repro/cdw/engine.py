@@ -125,6 +125,16 @@ class CdwEngine:
         #: optional observability hook ``(rows_skipped,)`` fired whenever
         #: a zone-map slice avoids scanning that many rows.
         self.on_scan_pruned: "callable | None" = None
+        #: which executor finished each statement that has a vector path
+        #: (INSERT..SELECT, DELETE, COPY INTO):
+        #: ``(statement, path, reason) -> count``.  ``path`` is
+        #: ``vector``, ``vector_scalar_check`` (the vector path found the
+        #: canonical error or an eager-only failure per row) or ``row``,
+        #: whose ``reason`` says why the vector path did not run.
+        self.path_counts: dict[tuple[str, str, str], int] = {}
+        #: optional observability hook ``(statement, path, reason)``,
+        #: fired once per :attr:`path_counts` increment.
+        self.on_path: "callable | None" = None
 
     # -- locking -------------------------------------------------------------
 
@@ -150,9 +160,34 @@ class CdwEngine:
             writes = set()
         else:
             return None
-        reads = {node.name for node in n.walk(statement)
-                 if isinstance(node, n.TableRef)}
-        return reads, writes
+        # Memoized on the node like compile_expr's closures: prepared DML
+        # templates and plan-cached trees re-execute with only their
+        # literals rebound, never their table references.
+        reads = statement.__dict__.get("_lock_reads")
+        if reads is None:
+            reads = statement.__dict__["_lock_reads"] = frozenset(
+                node.name for node in n.walk(statement)
+                if isinstance(node, n.TableRef))
+        return set(reads), writes
+
+    def _note_path(self, statement: str, path: str,
+                   reason: str = "") -> None:
+        key = (statement, path, reason)
+        with self._counts_lock:
+            self.path_counts[key] = self.path_counts.get(key, 0) + 1
+        if self.on_path is not None:
+            self.on_path(statement, path, reason)
+
+    def path_snapshot(self) -> dict[str, dict[str, int]]:
+        """:attr:`path_counts` as ``{statement: {path: count}}``, with a
+        row path keyed ``row/<reason>``."""
+        out: dict[str, dict[str, int]] = {}
+        with self._counts_lock:
+            items = sorted(self.path_counts.items())
+        for (statement, path, reason), count in items:
+            label = f"{path}/{reason}" if reason else path
+            out.setdefault(statement, {})[label] = count
+        return out
 
     # -- public API ----------------------------------------------------------
 
@@ -262,6 +297,8 @@ class CdwEngine:
             result = self._try_columnar_copy(table, datas, stmt.delimiter)
             if result is not None:
                 return result
+        else:
+            self._note_path("CopyInto", "row", "row_storage")
         new_rows: list[tuple] = []
         for data in datas:
             for raw in stagefile.decode_csv_rows(data, stmt.delimiter):
@@ -292,6 +329,7 @@ class CdwEngine:
             decoded = stagefile.decode_csv_columns(data, delimiter,
                                                    table.arity)
             if decoded is None:
+                self._note_path("CopyInto", "row", "declined")
                 return None
             if cols is None:
                 cols = decoded
@@ -300,15 +338,19 @@ class CdwEngine:
                     bucket.extend(col)
         if cols is None:
             cols = [[] for _ in range(table.arity)]
+        coerced = []
         try:
-            coerced = []
             for spec, col in zip(table.columns, cols):
                 if not spec.nullable and any(v is None for v in col):
-                    return None
+                    break
                 coerced.append(spec.ctype.coerce_many(col,
                                                       field=spec.name))
         except ExpressionError:
+            pass
+        if len(coerced) != len(cols):
+            self._note_path("CopyInto", "row", "coerce_error")
             return None
+        self._note_path("CopyInto", "vector")
         if self.native_unique and table.unique_keys:
             table.check_unique_append_columns(coerced)
         table.append_columns(coerced)
@@ -649,10 +691,12 @@ class CdwEngine:
     # (layout, binding) into vector closures (repro.cdw.expressions),
     # the WHERE produces a selection, and projection / aggregation read
     # only the touched columns.  Every helper returns None the moment
-    # anything falls outside the vector compiler's scope — or when eager
-    # evaluation raises — and the caller runs the row executor's scalar
-    # closures instead, which either succeed (they short-circuit rows
-    # the eager path touched) or raise the canonical first error.  Statements
+    # anything falls outside the vector compiler's scope, and the caller
+    # runs the row executor's scalar closures instead.  When eager
+    # evaluation raises, INSERT..SELECT finishes on the vector path (see
+    # _try_vector_insert); SELECT and DELETE re-execute on the row path,
+    # whose scalar closures either succeed (they short-circuit rows the
+    # eager path touched) or raise the canonical first error.  Statements
     # have no effects before commit, so the re-execution is safe and the
     # two paths are observationally identical.
 
@@ -1090,68 +1134,17 @@ class CdwEngine:
             full[table.column_index(name)] = value
         return tuple(full)
 
-    def _try_vector_insert(self, stmt: n.Insert, table: CdwTable
-                           ) -> "CdwResult | None":
-        """Columnwise INSERT..SELECT: source columns are computed by the
-        vector path, coerced in bulk, and appended to the target's
-        column store without ever forming row tuples.  Returns None to
-        run the row path — including on any error, whose canonical
-        version the row path then raises."""
-        src = stmt.source
-        if (not self.columnar or not table.columnar
-                or not isinstance(src, n.Select)
-                or src.group_by or src.order_by or src.distinct
-                or src.limit is not None or src.having is not None):
-            return None
-        try:
-            if any(self._contains_aggregate(item.expr)
-                   for item in src.items):
-                return None
-            scan = self._vector_scan(src)
-            if scan is None:
-                return None
-            data, layout, binding_upper = scan
-            items = self._expand_items(src, [])
-            source_cols = []
-            for item in items:
-                fn = compile_vector(item.expr, layout, binding_upper)
-                if fn is None:
-                    return None
-                source_cols.append(vec_values(fn(data), data.length))
-            nrows = data.length
-            if stmt.columns:
-                if len(stmt.columns) != len(source_cols):
-                    return None       # row path raises the arity error
-                full = [[None] * nrows for _ in range(table.arity)]
-                for name, col in zip(stmt.columns, source_cols):
-                    full[table.column_index(name)] = col
-            else:
-                if len(source_cols) != table.arity:
-                    return None       # row path raises the arity error
-                full = source_cols
-            coerced = []
-            for spec, col in zip(table.columns, full):
-                if not spec.nullable and any(v is None for v in col):
-                    return None       # row path raises NOT NULL error
-                coerced.append(spec.ctype.coerce_many(col,
-                                                      field=spec.name))
-        except (ExpressionError, SqlTranslationError, BulkExecutionError):
-            return None
-        if self.native_unique and table.unique_keys:
-            table.check_unique_append_columns(coerced)
-        table.append_columns(coerced)
-        return CdwResult(kind="count", rows_inserted=nrows)
+    def _insert_rows(self, table: CdwTable, columns: list[str],
+                     source_rows) -> CdwResult:
+        """INSERT's row tail: shape, coerce, check uniqueness, append.
 
-    def _exec_Insert(self, stmt: n.Insert) -> CdwResult:
-        table = self.catalog.get(stmt.table.name)
-        vectorized = self._try_vector_insert(stmt, table)
-        if vectorized is not None:
-            return vectorized
+        Shared by the row path and the vector path's scalar fallback;
+        the first row that fails to shape or coerce raises the
+        statement's error.
+        """
         try:
-            source_rows = self._insert_rows_from_source(stmt)
             new_rows = [
-                table.coerce_row(
-                    self._shape_insert_row(table, stmt.columns, row))
+                table.coerce_row(self._shape_insert_row(table, columns, row))
                 for row in source_rows
             ]
         except ExpressionError as exc:
@@ -1161,6 +1154,142 @@ class CdwEngine:
             table.check_unique_append(new_rows)
         table.append_rows(new_rows)
         return CdwResult(kind="count", rows_inserted=len(new_rows))
+
+    def _try_vector_insert(self, stmt: n.Insert, table: CdwTable
+                           ) -> "CdwResult | None":
+        """Columnwise INSERT..SELECT: source columns are computed by the
+        vector path, coerced in bulk, and appended to the target's
+        column store without ever forming row tuples.
+
+        Returns None only when the vector compiler declines the
+        statement (joins, subqueries, row storage, ...) or the residual
+        WHERE mask raises; the row executor then runs it.  Once the
+        select list compiles, the statement finishes here, errors
+        included, with the row path's canonical first-row error:
+
+        * item ``j`` raises: items ``< j`` are clean under the scalar
+          closures too (the vector/scalar contract), so items ``>= j``
+          are evaluated per row, row-major, by their scalar closures —
+          the row path's order.  The first raise is the statement's
+          error; if none raises (an eager-only failure) those values
+          are the source rows.
+        * a NULL in a NOT NULL column or a failed bulk coercion: the
+          shared row tail runs over the computed columns, so the first
+          row on which ``coerce_row`` fails raises its error.
+        """
+        src = stmt.source
+        if not (self.columnar and table.columnar):
+            self._note_path("Insert", "row", "row_storage")
+            return None
+        if (not isinstance(src, n.Select)
+                or src.group_by or src.order_by or src.distinct
+                or src.limit is not None or src.having is not None
+                or any(self._contains_aggregate(item.expr)
+                       for item in src.items)):
+            self._note_path("Insert", "row", "declined")
+            return None
+        try:
+            scan = self._vector_scan(src)
+        except (ExpressionError, SqlTranslationError):
+            self._note_path("Insert", "row", "where_error")
+            return None
+        if scan is None:
+            self._note_path("Insert", "row", "declined")
+            return None
+        data, layout, binding_upper = scan
+        items = self._expand_items(src, [])
+        fns = [compile_vector(item.expr, layout, binding_upper)
+               for item in items]
+        if any(fn is None for fn in fns):
+            self._note_path("Insert", "row", "declined")
+            return None
+        nrows = data.length
+        source_cols: list[list] = []
+        try:
+            for fn in fns:
+                source_cols.append(vec_values(fn(data), nrows))
+        except (ExpressionError, SqlTranslationError):
+            self._note_path("Insert", "vector_scalar_check")
+            source = self.catalog.get(src.from_.name)
+            try:
+                rows = self._scalar_rows(items, source_cols, data,
+                                         source.arity, layout,
+                                         binding_upper)
+            except ExpressionError as exc:
+                raise self._wrap_row_error(
+                    exc, f"INSERT INTO {table.name}") from exc
+            return self._insert_rows(table, stmt.columns, rows)
+        full = self._shape_insert_columns(table, stmt.columns,
+                                          source_cols, nrows)
+        coerced = []
+        try:
+            for spec, col in zip(table.columns, full or ()):
+                if not spec.nullable and any(v is None for v in col):
+                    break
+                coerced.append(spec.ctype.coerce_many(col,
+                                                      field=spec.name))
+        except ExpressionError:
+            pass
+        if len(coerced) != table.arity:
+            # A shape, NOT NULL or coercion error: the row tail finds
+            # the first failing row, then its first failing column
+            # (coerce_row's order), over the computed columns.
+            self._note_path("Insert", "vector_scalar_check")
+            return self._insert_rows(table, stmt.columns,
+                                     list(zip(*source_cols)))
+        self._note_path("Insert", "vector")
+        if self.native_unique and table.unique_keys:
+            table.check_unique_append_columns(coerced)
+        table.append_columns(coerced)
+        return CdwResult(kind="count", rows_inserted=nrows)
+
+    @staticmethod
+    def _shape_insert_columns(table: CdwTable, columns: list[str],
+                              source_cols: list[list], nrows: int
+                              ) -> "list[list] | None":
+        """Source columns laid out as the target's columns, or None when
+        the column list does not fit (the row tail raises that)."""
+        if not columns:
+            return source_cols if len(source_cols) == table.arity \
+                else None
+        if len(columns) != len(source_cols) \
+                or not all(table.has_column(name) for name in columns):
+            return None
+        full: list[list] = [[None] * nrows for _ in range(table.arity)]
+        for name, col in zip(columns, source_cols):
+            full[table.column_index(name)] = col
+        return full
+
+    def _scalar_rows(self, items: list[n.SelectItem], done: list[list],
+                     data, arity: int, layout: dict[str, int],
+                     binding_upper: str) -> list[tuple]:
+        """Source rows of a vector INSERT whose item ``len(done)``
+        raised: ``done`` holds the clean columns of the items before it,
+        and the rest run through their scalar closures row by row over
+        the batch's own rows (the selected ones, for a GatherBatch).
+        Raises the first error in row-major order."""
+        fns = [compile_expr(item.expr) for item in items[len(done):]]
+        frame = Frame(RowContext(), self._subquery_runner)
+        ctx = frame.ctx
+        rows = []
+        for r, row in enumerate(zip(*[data.col(k) for k in range(arity)])):
+            ctx.bind_prepared(binding_upper, layout, row)
+            rows.append(tuple([col[r] for col in done]
+                              + [fn(frame) for fn in fns]))
+        return rows
+
+    def _exec_Insert(self, stmt: n.Insert) -> CdwResult:
+        table = self.catalog.get(stmt.table.name)
+        if not isinstance(stmt.source, n.Values):
+            vectorized = self._try_vector_insert(stmt, table)
+            if vectorized is not None:
+                return vectorized
+        try:
+            source_rows = self._insert_rows_from_source(stmt)
+        except ExpressionError as exc:
+            raise self._wrap_row_error(
+                exc, f"INSERT INTO {table.name}") from exc
+        return self._insert_rows(table, stmt.columns, source_rows)
 
     def _exec_Update(self, stmt: n.Update) -> CdwResult:
         table = self.catalog.get(stmt.table.name)
@@ -1230,8 +1359,11 @@ class CdwEngine:
                 lo, hi = table.seq_slice(
                     between.low.value, between.high.value)
                 self._note_pruned(table, lo, hi)
-        if (stmt.using is None and stmt.where is not None
-                and self.columnar and table.columnar):
+        if not (self.columnar and table.columnar):
+            self._note_path("Delete", "row", "row_storage")
+        elif stmt.using is not None or stmt.where is None:
+            self._note_path("Delete", "row", "declined")
+        else:
             result = self._try_vector_delete(table, binding,
                                              stmt.where, lo, hi)
             if result is not None:
@@ -1277,12 +1409,15 @@ class CdwEngine:
         layout = prepare_layout(table.column_names)
         fn = compile_vector(where, layout, binding.upper())
         if fn is None:
+            self._note_path("Delete", "row", "declined")
             return None
         batch = ColumnBatch(table, lo, hi)
         try:
             mask = vec_values(fn(batch), batch.length)
         except (ExpressionError, SqlTranslationError):
+            self._note_path("Delete", "row", "where_error")
             return None
+        self._note_path("Delete", "vector")
         keep = list(range(lo))
         keep.extend(lo + i for i, v in enumerate(mask) if v is not True)
         deleted = batch.length - (len(keep) - lo)

@@ -23,10 +23,10 @@ expression tree into closures that call those functions:
   closure runs, never when it is built.
 * :func:`compile_vector` gives ``fn(batch) -> (is_const, payload)`` over
   a column batch.  It evaluates eagerly and returns None for nodes it
-  does not support (subqueries, outer references, ...).  The engine then
-  re-runs the statement with the scalar closures, which either succeed
-  (they short-circuit rows the eager path touched) or raise the
-  canonical first-row error.
+  does not support (subqueries, outer references, ...).  When a vector
+  closure raises, the engine falls back to the scalar closures, which
+  either succeed (they short-circuit rows the eager path touched) or
+  raise the canonical first-row error.
 
 :func:`evaluate` is the one-shot entry: compile, call once, keep nothing.
 """
@@ -869,9 +869,9 @@ _SCALAR_COMPILERS = {
 # binding) into a *vector* closure: ``fn(batch) -> (is_const, payload)``
 # where payload is either a single value (constant over the batch) or a
 # list with one entry per batch row.  Evaluation is eager — both AND
-# operands, every CASE arm — which is safe because the engine re-runs the
-# statement with the scalar closures on any ExpressionError, reproducing
-# their short-circuit and error behaviour exactly.  Per-value work calls
+# operands, every CASE arm — which is safe because the engine falls back
+# to the scalar closures on any ExpressionError, reproducing their
+# short-circuit and error behaviour exactly.  Per-value work calls
 # the same value functions as the scalar closures, so the two compilers
 # cannot disagree on a value; the int/str loops below only skip
 # ``_compare``'s alignment for operands that need none.

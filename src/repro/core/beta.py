@@ -326,9 +326,7 @@ class Beta:
         """Record the converted violating tuple (Figure 5c-style)."""
         tuple_values: tuple = ()
         if kind in ("insert", "merge"):
-            statement = builder(seq, seq)
-            select = (statement.source if kind == "insert"
-                      else statement.source)
+            select = builder(seq, seq).source
             if isinstance(select, n.Select):
                 rows = self.engine.query(select)
                 if rows:

@@ -197,6 +197,10 @@ class HyperQNode:
         if engine.on_scan_pruned is None:
             engine.on_scan_pruned = (
                 lambda skipped: self.obs.scan_pruned_rows.inc(skipped))
+        if engine.on_path is None:
+            engine.on_path = (
+                lambda stmt, path, reason: self.obs.engine_statements
+                .labels(statement=stmt, path=path, reason=reason).inc())
         self.credits = CreditManager(
             self.config.credits, self.config.credit_timeout_s,
             obs=self.obs)
@@ -357,6 +361,7 @@ class HyperQNode:
                 "min_available": self.credits.min_available,
             },
             "engine_statements": dict(self.engine.statement_counts),
+            "engine": {"paths": self.engine.path_snapshot()},
             "storage": self._storage_snapshot(),
             "plan_cache": {
                 "dml": self.beta.plans.stats(),

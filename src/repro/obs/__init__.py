@@ -279,6 +279,11 @@ class Observability:
         self.statement_seconds = reg.histogram(
             "cdw_statement_seconds",
             "CDW engine statement latency", ("statement",))
+        self.engine_statements = reg.counter(
+            "hyperq_engine_statements_total",
+            "CDW statements with a vector executor, by the path that "
+            "finished them (reason: why a row path ran)",
+            ("statement", "path", "reason"))
         self.table_bytes = reg.gauge(
             "hyperq_table_bytes",
             "Estimated bytes of column/row data held per CDW table",

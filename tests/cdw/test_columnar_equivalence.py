@@ -208,3 +208,206 @@ def test_copy_into_agrees():
              for e in engines]
     assert state[0] == state[1]
     assert len(state[0]) == 400
+
+
+# -- INSERT..SELECT error semantics ------------------------------------------
+#
+# A failing vector INSERT..SELECT finishes on the vector path: it must
+# raise exactly the error the row engine raises (type, message, field,
+# kind), leave the target untouched, and never re-run the statement on
+# the row executor.
+
+ERR_DDL = (
+    "CREATE TABLE ESRC (ID INT, TXT NVARCHAR(20), __SEQ BIGINT)",
+    "CREATE TABLE E (A INT NOT NULL, B NVARCHAR(3), C INT, D INT)",
+)
+
+#: ESRC.TXT by row: integers as text, except where noted.
+ERR_TXT = {2: "n2", 4: "long4", 5: None, 7: "x7", 9: "n9"}
+
+
+def make_error_pair(txt=ERR_TXT, rows=12, seed_rows=()):
+    """One columnar and one row engine holding ESRC (zone map armed)
+    and an empty target E."""
+    engines = []
+    for columnar in (True, False):
+        engine = CdwEngine(store=CloudStore(), columnar=columnar)
+        for ddl in ERR_DDL:
+            engine.execute(ddl)
+        engine.table("ESRC").append_rows(
+            [(i, txt.get(i, str(i)), i) for i in range(rows)])
+        engine.table("ESRC").set_sorted("__SEQ")
+        engine.table("E").append_rows(list(seed_rows))
+        engines.append(engine)
+    return engines
+
+
+def _error_outcome(engine, sql):
+    try:
+        result = engine.execute(sql)
+    except Exception as exc:  # noqa: BLE001 - diffing error identity
+        return (type(exc).__name__, str(exc), getattr(exc, "field", None),
+                getattr(exc, "kind", None))
+    return "count", result.rows_inserted
+
+
+def _assert_same_insert(engines, sql):
+    columnar, rowwise = (_error_outcome(e, sql) for e in engines)
+    assert columnar == rowwise, f"divergence on: {sql}"
+    state = [sorted(e.query("SELECT * FROM E"), key=repr)
+             for e in engines]
+    assert state[0] == state[1], f"table state diverged after: {sql}"
+    assert not [key for key in engines[0].path_counts
+                if key[:2] == ("Insert", "row")], sql
+    return columnar
+
+
+#: (case, select list) — each shaped to fail on a known row.
+ERROR_CASES = [
+    # expression error: the first non-integer TXT (row 2)
+    ("cast", "ID, 'b', CAST(TXT AS INT), ID"),
+    # eager-only failure: the guarded CAST never runs on 'n..' rows,
+    # but 'long4'/'x7' are unguarded
+    ("case_guarded_cast",
+     "ID, 'b', CASE WHEN TXT LIKE 'n%' THEN -1 "
+     "WHEN TXT LIKE 'x%' OR TXT LIKE 'l%' THEN -2 "
+     "ELSE CAST(TXT AS INT) END, ID"),
+    # coercion: 'long4' overflows NVARCHAR(3)
+    ("nvarchar_overflow", "ID, TXT, ID, ID"),
+    # NOT NULL: A gets NULL on row 5
+    ("not_null", "CASE WHEN TXT IS NULL THEN NULL ELSE ID END, "
+                 "'b', ID, ID"),
+    # expression error on row 7 (D) vs coercion error on row 2 (B):
+    # projection runs first, so the expression error wins
+    ("expression_beats_coercion",
+     "ID, CASE WHEN ID = 2 THEN 'long' ELSE 'b' END, ID, "
+     "CASE WHEN ID = 7 THEN CAST(TXT AS INT) ELSE 0 END"),
+    # two expression errors in row 2: the first item wins
+    ("two_expression_errors_same_row",
+     "ID, 'b', CAST(TXT AS INT), CAST(TXT AS DOUBLE)"),
+    # C fails on row 7, D on row 4: row order beats item order, though
+    # the vector path meets C's error first
+    ("later_item_earlier_row",
+     "ID, 'b', CASE WHEN ID = 7 THEN CAST(TXT AS INT) ELSE 0 END, "
+     "CASE WHEN ID = 4 THEN CAST(TXT AS DOUBLE) ELSE 0 END"),
+    # C fails only eagerly, D really fails on row 9
+    ("eager_only_then_real",
+     "ID, 'b', CASE WHEN ID IN (2, 4, 7, 9) THEN -1 "
+     "ELSE CAST(TXT AS INT) END, "
+     "CASE WHEN ID = 9 THEN CAST(TXT AS DOUBLE) ELSE 0 END"),
+    # two coercion errors in row 4 (B overflow, C non-integer text):
+    # the first column wins
+    ("two_coercion_errors_same_row",
+     "ID, CASE WHEN ID = 4 THEN TXT ELSE 'b' END, "
+     "CASE WHEN ID = 4 THEN TXT ELSE '1' END, ID"),
+    # NOT NULL vs overflow in the same row 5: A is checked first
+    ("not_null_beats_later_column",
+     "CASE WHEN ID = 5 THEN NULL ELSE ID END, "
+     "CASE WHEN ID = 5 THEN 'long' ELSE 'b' END, ID, ID"),
+    # a later row's coercion error vs an earlier row's one in a later
+    # column: row order wins over column order
+    ("earlier_row_wins",
+     "ID, CASE WHEN ID = 8 THEN 'long' ELSE 'b' END, "
+     "CASE WHEN ID = 3 THEN 'x' ELSE '1' END, ID"),
+]
+
+#: residual WHEREs: none (a plain ColumnBatch), a zone-map slice, and
+#: residual masks that make the batch a GatherBatch.
+ERROR_WHERES = [
+    "",
+    " WHERE __SEQ BETWEEN 1 AND 10",
+    " WHERE ID <> 2",
+    " WHERE __SEQ BETWEEN 3 AND 11 AND ID <> 4 AND ID <> 5",
+]
+
+
+@pytest.mark.parametrize("where", ERROR_WHERES,
+                         ids=["batch", "slice", "gather", "slice_gather"])
+@pytest.mark.parametrize("case,items", ERROR_CASES,
+                         ids=[c for c, _ in ERROR_CASES])
+def test_failing_insert_select_matches_row_engine(case, items, where):
+    engines = make_error_pair(seed_rows=[(100, "s", 1, 1)])
+    outcome = _assert_same_insert(
+        engines, f"INSERT INTO E SELECT {items} FROM ESRC{where}")
+    assert outcome[0] in ("BulkExecutionError", "count")
+
+
+def test_error_cases_raise_what_they_claim():
+    """Pins the intent of ERROR_CASES on the full batch, so a change in
+    data or SQL cannot silently turn a case into a different one."""
+    engines = make_error_pair()
+    expect = {
+        "cast": ("INT conversion failed: 'n2'", "TXT"),
+        "case_guarded_cast": None,
+        "nvarchar_overflow": ("'long4' too long for NVARCHAR(3)", "B"),
+        "not_null": ("NULL in NOT NULL column A", "A"),
+        "expression_beats_coercion": ("INT conversion failed: 'x7'",
+                                      "TXT"),
+        "two_expression_errors_same_row": ("INT conversion failed: 'n2'",
+                                           "TXT"),
+        "later_item_earlier_row": ("DOUBLE conversion failed: 'long4'",
+                                   "TXT"),
+        "eager_only_then_real": ("DOUBLE conversion failed: 'n9'", "TXT"),
+        "two_coercion_errors_same_row": ("'long4' too long", "B"),
+        "not_null_beats_later_column": ("NULL in NOT NULL column A", "A"),
+        "earlier_row_wins": ("INT conversion failed: 'x'", "C"),
+    }
+    for case, items in ERROR_CASES:
+        outcome = _assert_same_insert(
+            engines, f"INSERT INTO E SELECT {items} FROM ESRC")
+        if expect[case] is None:
+            assert outcome == ("count", 12), case
+        else:
+            text, field = expect[case]
+            assert text in outcome[1] and outcome[2] == field, \
+                (case, outcome)
+    assert engines[0].path_counts[
+        ("Insert", "vector_scalar_check", "")] == len(ERROR_CASES)
+
+
+def test_insert_column_list_errors_match_row_engine():
+    """Partial column lists: unlisted NOT NULL columns, wrong arity and
+    unknown names raise from the same shaping code on both engines."""
+    engines = make_error_pair()
+    for sql in (
+            "INSERT INTO E (B, C) SELECT 'b', ID FROM ESRC",
+            "INSERT INTO E (A, B) SELECT ID, TXT FROM ESRC",
+            "INSERT INTO E (A, C) SELECT ID, CAST(TXT AS INT) FROM ESRC",
+            "INSERT INTO E (A, B) SELECT ID FROM ESRC",
+            "INSERT INTO E (A, NOPE) SELECT ID, ID FROM ESRC",
+            "INSERT INTO E (A, NOPE) SELECT ID, ID FROM ESRC "
+            "WHERE ID > 99",
+            "INSERT INTO E SELECT ID, 'b' FROM ESRC",
+            "INSERT INTO E (A, C) SELECT ID, ID FROM ESRC WHERE ID < 4",
+    ):
+        _assert_same_insert(engines, sql)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_failing_insert_selects_agree(seed):
+    """Random select lists over error-prone items and dirty text."""
+    rng = random.Random(seed)
+    txt = {}
+    for i in range(40):
+        roll = rng.random()
+        if roll < 0.06:
+            txt[i] = None
+        elif roll < 0.1:
+            txt[i] = f"n{i}"
+        elif roll < 0.13:
+            txt[i] = "9" * 12
+    engines = make_error_pair(txt=txt, rows=40)
+    pool = (
+        "ID", "CAST(TXT AS INT)", "TXT", "'b'", "NULL",
+        "CASE WHEN TXT LIKE 'n%' THEN 0 ELSE CAST(TXT AS INT) END",
+        "NULLIF(ID, {k})", "100 / (ID - {k})", "COALESCE(TXT, 'z')",
+        "CASE WHEN ID = {k} THEN 'long' ELSE 'b' END",
+    )
+    for _ in range(40):
+        items = ", ".join(
+            rng.choice(pool).format(k=rng.randrange(40)) for _ in range(4))
+        where = rng.choice(ERROR_WHERES[:3] + [
+            f" WHERE __SEQ BETWEEN {rng.randrange(20)} AND "
+            f"{rng.randrange(20, 40)} AND ID <> {rng.randrange(40)}"])
+        _assert_same_insert(
+            engines, f"INSERT INTO E SELECT {items} FROM ESRC{where}")

@@ -6,6 +6,7 @@ soak hammers one engine from many threads and checks the final state is
 exactly the sum of the applied operations.
 """
 
+import sys
 import threading
 
 from repro.cdw.engine import CdwEngine
@@ -72,3 +73,47 @@ def test_concurrent_unique_contention():
     assert sorted(wins) == list(range(30))
     assert len(losses) == 4 * 30
     assert engine.query("SELECT COUNT(*) FROM K") == [(30,)]
+
+
+def test_concurrent_path_counts_lose_no_update():
+    """Clean and failing INSERT..SELECTs from several threads: every
+    statement is counted once under the path that finished it."""
+    engine = CdwEngine()
+    for w in range(WORKERS):
+        engine.execute(f"CREATE TABLE S{w} (I INT, TXT NVARCHAR(8))")
+        engine.execute(f"CREATE TABLE T{w} (I INT, N INT)")
+        engine.execute(f"INSERT INTO S{w} VALUES (1, '1'), (2, 'x')")
+    errors: list[BaseException] = []
+
+    def worker(w: int):
+        try:
+            for i in range(OPS_PER_WORKER):
+                try:
+                    engine.execute(
+                        f"INSERT INTO T{w} SELECT I, CAST(TXT AS INT) "
+                        f"FROM S{w} WHERE I <= {1 + i % 2}")
+                except BulkExecutionError:
+                    pass
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,))
+                   for w in range(WORKERS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    half = WORKERS * OPS_PER_WORKER // 2
+    assert engine.path_counts == {
+        ("Insert", "vector", ""): half,
+        ("Insert", "vector_scalar_check", ""): half}
+    for w in range(WORKERS):
+        assert engine.query(f"SELECT COUNT(*) FROM T{w}") == \
+            [(half // WORKERS,)]

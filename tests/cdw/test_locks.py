@@ -173,3 +173,52 @@ class TestEngineLockGranularity:
             assert finished and result == [(1,)]
         finally:
             lock.release_read()
+
+
+class TestLockSetMemo:
+    """``_lock_sets`` memoizes read names on the statement node."""
+
+    SQL = ("INSERT INTO T SELECT S.ID FROM STG S WHERE S.__SEQ "
+           "BETWEEN 1 AND 5 AND S.ID IN (SELECT ID FROM DIM)")
+
+    def test_rebinding_literals_keeps_sets_correct(self):
+        from repro.sqlxc import nodes as n
+        from repro.sqlxc.parser import parse_statement
+
+        engine = CdwEngine()
+        statement = parse_statement(self.SQL, dialect="cdw")
+        between = next(node for node in n.walk(statement)
+                       if isinstance(node, n.Between))
+        expected = ({"T", "STG", "DIM"}, {"T"})
+        assert engine._lock_sets(statement) == expected
+        for lo, hi in ((10, 20), (3, 3), (0, 99)):
+            # what PreparedDml.bind does between executions
+            between.low.value, between.high.value = lo, hi
+            reads, writes = engine._lock_sets(statement)
+            assert (reads, writes) == expected
+            reads.add("MUTATED")          # a fresh set every call
+        assert engine._lock_sets(statement) == expected
+
+    def test_distinct_statements_never_share_a_memo(self):
+        from repro.sqlxc import nodes as n
+        from repro.sqlxc.parser import parse_statement
+
+        engine = CdwEngine()
+        first = parse_statement(self.SQL, dialect="cdw")
+        second = parse_statement(self.SQL, dialect="cdw")
+        assert first == second and first is not second
+        first_reads, _ = engine._lock_sets(first)
+        assert "_lock_reads" not in second.__dict__
+
+        def rename(node):
+            if isinstance(node, n.TableRef) and node.name == "DIM":
+                return n.TableRef("OTHER", node.alias)
+            return node
+        # a rewritten tree is a new node: it must not inherit the memo
+        renamed = n.transform(first, rename)
+        assert renamed is not first
+        assert engine._lock_sets(renamed)[0] == {"T", "STG", "OTHER"}
+        assert engine._lock_sets(first)[0] == first_reads
+        assert engine._lock_sets(second)[0] == first_reads
+        select = parse_statement("SELECT * FROM DIM", dialect="cdw")
+        assert engine._lock_sets(select) == ({"DIM"}, set())
