@@ -1057,22 +1057,29 @@ def _vcompile_compare(op: str, left, right):
         rc, rv = right(b)
         if lc and rc:
             return (True, _compare(op, lv, rv))
+        # Against an int or DATE constant, values of exactly its type
+        # need no _align; anything else (a timestamp to promote, a
+        # type error to raise) still goes through _compare.
         if lc:                                   # const <op> vector
             if lv is None:
                 return (True, None)
-            if type(lv) is int:
+            kind = type(lv)
+            if kind is int or kind is values.Date:
                 return (False, [
                     None if v is None else
-                    (pyop(lv, v) if type(v) is int else _compare(op, lv, v))
+                    (pyop(lv, v) if type(v) is kind
+                     else _compare(op, lv, v))
                     for v in rv])
             return (False, [_compare(op, lv, v) for v in rv])
         if rc:                                   # vector <op> const
             if rv is None:
                 return (True, None)
-            if type(rv) is int:
+            kind = type(rv)
+            if kind is int or kind is values.Date:
                 return (False, [
                     None if v is None else
-                    (pyop(v, rv) if type(v) is int else _compare(op, v, rv))
+                    (pyop(v, rv) if type(v) is kind
+                     else _compare(op, v, rv))
                     for v in lv])
             if type(rv) is str:
                 cr = rv.rstrip()

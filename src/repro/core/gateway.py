@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from repro.cdw.bulkloader import CloudBulkLoader
 from repro.cdw.cloudstore import CloudStore
 from repro.cdw.engine import CdwEngine
+from repro.core import tdf
 from repro.core.beta import SEQ_COLUMN, ApplySummary, Beta
 from repro.core.config import HyperQConfig
 from repro.core.converter import DataConverter
@@ -50,7 +51,7 @@ from repro.resilience import (
 )
 from repro.wlm import WorkloadManager
 from repro.legacy.client import layout_from_wire
-from repro.legacy.datafmt import BinaryFormat, FormatSpec, make_format
+from repro.legacy.datafmt import FormatSpec, RecordFormat, make_format
 from repro.legacy.infer import infer_result_layout
 from repro.legacy.protocol import Message, MessageChannel, MessageKind
 from repro.legacy.types import Layout
@@ -62,6 +63,9 @@ from repro.stream.drift import SchemaDriftResolver
 __all__ = ["HyperQNode"]
 
 log = get_logger("gateway")
+
+#: result sets and exports travel in the legacy binary encoding.
+_BINARY = FormatSpec("binary")
 
 
 @dataclass
@@ -143,7 +147,9 @@ class _StreamFeed:
 class _ExportJob:
     job_id: str
     cursor: TdfCursor
-    layout: Layout
+    #: the layout-compiled binary encoder for the job's result layout,
+    #: built once at BEGIN_EXPORT and reused by every EXPORT_FETCH.
+    encoder: RecordFormat
     #: the job's root trace span (continues the client's trace when a
     #: traceparent rode in on BEGIN_EXPORT).
     span: object = NULL_SPAN
@@ -296,6 +302,7 @@ class HyperQNode:
             job.pipeline.shutdown()
             self.wlm.release(job.ticket)
         for export in exports:
+            export.cursor.close()
             self.wlm.release(export.ticket)
         # Stream feeds quiesce after their in-flight batch jobs (each
         # batch is drained or cleanly abandoned for resume above) and
@@ -581,12 +588,12 @@ class HyperQNode:
         result = self.engine.execute(statement)
         if result.kind == "rows":
             layout = infer_result_layout(result.columns, result.rows)
-            fmt = BinaryFormat(layout)
+            encoder = make_format(_BINARY, layout)
             channel.send(Message(
                 MessageKind.RESULT_SET,
                 {"columns": [[f.name, f.type.render()]
                              for f in layout.fields]},
-                body=fmt.encode_records(result.rows)))
+                body=encoder.encode_records(result.rows)))
         else:
             channel.send(Message(
                 MessageKind.STMT_OK,
@@ -1506,6 +1513,7 @@ class HyperQNode:
         export_span = self.obs.tracer.span(
             "export", parent=remote_ctx, job_id=job_id,
             **({"pool": pool} if pool else {}))
+        cursor = None
         try:
             cdw_sql = transpile(message.meta["sql"], "legacy", "cdw")
             cursor = TdfCursor(
@@ -1516,12 +1524,16 @@ class HyperQNode:
             # Infer the legacy layout from the materialized result so
             # every chunk is encoded consistently.
             layout = infer_result_layout(cursor.columns, cursor._rows)
+            encoder = make_format(_BINARY, layout)
         except BaseException:
+            if cursor is not None:
+                cursor.close()
             export_span.end("error")
             self.wlm.release(ticket)
             raise
+        self.obs.codec_compiles.labels(kind=_BINARY.kind).inc()
         job = _ExportJob(
-            job_id=job_id, cursor=cursor, layout=layout,
+            job_id=job_id, cursor=cursor, encoder=encoder,
             span=export_span, ticket=ticket,
             eof_needed=max(1, message.meta.get("sessions", 1)))
         with self._registry_lock:
@@ -1552,6 +1564,7 @@ class HyperQNode:
             if done:
                 self._exports.pop(job_id, None)
         if done:
+            job.cursor.close()
             job.span.end()
             self.wlm.release(job.ticket)
 
@@ -1560,6 +1573,7 @@ class HyperQNode:
         with self._registry_lock:
             if self._exports.get(job.job_id) is job:
                 self._exports.pop(job.job_id)
+        job.cursor.close()
         job.span.end("error")
         self.wlm.release(job.ticket)
 
@@ -1585,11 +1599,9 @@ class HyperQNode:
             return
         # PXC unwraps the TDF packet and re-encodes rows in the legacy
         # binary representation the client expects (Section 4).
-        from repro.core import tdf
         packet = tdf.decode_packet(packet_bytes)
-        fmt = BinaryFormat(job.layout)
         channel.send(Message(
             MessageKind.EXPORT_DATA,
             {"chunk_no": chunk_no, "eof": False,
              "records": len(packet.rows)},
-            body=fmt.encode_records(packet.rows)))
+            body=job.encoder.encode_records(packet.rows)))

@@ -14,6 +14,7 @@ numbers and block until theirs is ready.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.cdw.engine import CdwEngine
 from repro.core import tdf
@@ -82,7 +83,6 @@ class TdfCursor:
         if chunk_no >= self.num_chunks:
             return None
         with self._ready:
-            import time
             deadline = time.monotonic() + timeout_s
             while chunk_no not in self._buffer:
                 if self._closed:
@@ -97,8 +97,14 @@ class TdfCursor:
             return packet
 
     def close(self) -> None:
-        """Stop the prefetch thread and drop the buffer."""
+        """Stop the prefetch thread and drop the buffer and the result.
+
+        Idempotent.  A session still waiting in :meth:`packet` gets
+        ``GatewayError("TDFCursor is closed")``.
+        """
         with self._ready:
             self._closed = True
+            self._buffer.clear()
             self._ready.notify_all()
         self._encoder.join(timeout=5.0)
+        self._rows = []

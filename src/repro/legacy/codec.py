@@ -349,20 +349,13 @@ class CompiledBinaryFormat(BinaryFormat):
         self._dsegments = tuple(dsegments)
         self._esegments = tuple(esegments)
         self._decode_zero = self._gen_decode_zero(dsegments)
+        self._encode_zero = self._gen_encode_zero(dsegments, esegments)
 
         # Whole-record fast path: a single fused run covering every field.
         self._whole = None
-        self._fixed_prefix = None
         if len(dsegments) == 1 and dsegments[0][0] == 0:
             _, _, unpack_from, size, posts_t, _ = dsegments[0]
-            datepos = esegments[0][3]
             self._whole = (unpack_from, size, posts_t)
-            self._whole_pack = esegments[0][2]
-            self._whole_datepos = datepos
-            body_len = self._bitmap_len + size
-            if body_len <= 0xFFFF:
-                self._fixed_prefix = (
-                    _S_H.pack(body_len) + bytes(self._bitmap_len))
 
     @staticmethod
     def _gen_decode_zero(dsegments: list[tuple]):
@@ -417,6 +410,55 @@ class CompiledBinaryFormat(BinaryFormat):
                    f"{',' if len(names) == 1 else ''})")
         exec("\n".join(src), env)
         return env["_decode_zero"]
+
+    def _gen_encode_zero(self, dsegments: list[tuple],
+                         esegments: list[tuple]):
+        """exec-compile a straight-line encoder for the no-NULLs case.
+
+        With no NULL the bitmap is all zeroes and every field is
+        present, so the record is fully determined by the layout: one
+        fused pack per fixed-width run and an inlined UTF-8 encode per
+        character field, joined once.  The per-field operations are the
+        segment encoders'; anything unusual raises and the caller falls
+        back to the reference encoder for that row.
+        """
+        src = ["def _encode_zero(row):"]
+        env = {"_Slow": _Slow, "_h": _S_H.pack, "_de": _date_to_epoch,
+               "_zb": bytes(self._bitmap_len)}
+        if self._arity:
+            names = [f"v{i}" for i in range(self._arity)]
+            src.append(f"    {', '.join(names)}, = row")
+        fixed = self._bitmap_len
+        lengths: list[str] = []
+        parts = ["_zb"]
+        for k, seg in enumerate(esegments):
+            tag = seg[0]
+            if tag == 0:
+                _, indices, pack, datepos, _ = seg
+                env[f"_p{k}"] = pack
+                args = [f"_de(v{i})" if j in datepos else f"v{i}"
+                        for j, i in enumerate(indices)]
+                src.append(f"    f{k} = _p{k}({', '.join(args)})")
+                fixed += dsegments[k][3]
+                parts.append(f"f{k}")
+            elif tag == 1:
+                _, i, encode = seg
+                if self.layout.fields[i].type.is_character:
+                    src.append(f"    r{i} = str(v{i}).encode('utf-8')")
+                    parts += [f"_h(len(r{i}))", f"r{i}"]
+                    fixed += 2
+                else:
+                    env[f"_e{i}"] = encode
+                    src.append(f"    r{i} = _e{i}(v{i})")
+                    parts.append(f"r{i}")
+                lengths.append(f"len(r{i})")
+            else:
+                src.append("    raise _Slow")
+        body_len = " + ".join([str(fixed)] + lengths)
+        src.append(f"    return b''.join((_h({body_len}), "
+                   f"{', '.join(parts)}))")
+        exec("\n".join(src), env)
+        return env["_encode_zero"]
 
     # -- decoding ----------------------------------------------------------
 
@@ -528,15 +570,8 @@ class CompiledBinaryFormat(BinaryFormat):
     def _encode_fast(self, row: tuple) -> bytes:
         if len(row) != self._arity:
             raise _Slow
-        prefix = self._fixed_prefix
-        if prefix is not None and None not in row:
-            datepos = self._whole_datepos
-            if not datepos:
-                return prefix + self._whole_pack(*row)
-            vals = list(row)
-            for j in datepos:
-                vals[j] = _date_to_epoch(vals[j])
-            return prefix + self._whole_pack(*vals)
+        if None not in row:
+            return self._encode_zero(row)
         bitmap = 0
         parts: list[bytes] = []
         append = parts.append

@@ -9,6 +9,7 @@ derive a layout from the result values themselves.
 from __future__ import annotations
 
 from decimal import Decimal
+from operator import itemgetter
 
 from repro import values
 from repro.legacy.types import FieldDef, Layout, LegacyType
@@ -18,7 +19,8 @@ __all__ = ["infer_legacy_type", "infer_result_layout"]
 
 def infer_legacy_type(column_values: list) -> LegacyType:
     """The narrowest legacy type that can carry every value in a column."""
-    kinds = {type(v) for v in column_values if v is not None}
+    kinds = set(map(type, column_values))
+    kinds.discard(type(None))
     if not kinds:
         return LegacyType("VARCHAR", 1)
     if kinds <= {bool, int}:
@@ -30,11 +32,11 @@ def infer_legacy_type(column_values: list) -> LegacyType:
     if kinds == {values.Timestamp}:
         return LegacyType("TIMESTAMP")
     # datetime is a subclass of date; a pure-date column has no datetimes.
-    if all(isinstance(v, values.Date) and not isinstance(v, values.Timestamp)
-           for v in column_values if v is not None):
+    if all(issubclass(k, values.Date) and not issubclass(k, values.Timestamp)
+           for k in kinds):
         return LegacyType("DATE")
     if kinds <= {str}:
-        longest = max(len(v) for v in column_values if v is not None)
+        longest = max(map(len, filter(None, column_values)), default=0)
         return LegacyType("VARCHAR", max(longest, 1))
     # Mixed column: fall back to text wide enough for every rendering.
     longest = max(len(str(v)) for v in column_values if v is not None)
@@ -45,6 +47,6 @@ def infer_result_layout(columns: list[str], rows: list[tuple]) -> Layout:
     """Build a layout for a result set from its column names and rows."""
     fields = []
     for i, name in enumerate(columns):
-        column_values = [row[i] for row in rows]
+        column_values = list(map(itemgetter(i), rows))
         fields.append(FieldDef(name, infer_legacy_type(column_values)))
     return Layout("__resultset__", fields)

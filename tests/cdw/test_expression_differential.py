@@ -32,6 +32,7 @@ COLUMNS = (
     ("S", CdwType("NVARCHAR", 12)),
     ("B", CdwType("BOOLEAN")),
     ("DT", CdwType("DATE")),
+    ("TS", CdwType("TIMESTAMP")),
 )
 
 STRINGS = ("ab", "ab  ", "", "a%", "A_c", "12", " 7 ", "2020-01-02",
@@ -41,6 +42,9 @@ FLOATS = (0.0, 0.5, -1.5, 2.0, 12.25)
 DECIMALS = (Decimal("0.00"), Decimal("1.25"), Decimal("-3.50"),
             Decimal("2"))
 DATES = (datetime.date(2020, 1, 2), datetime.date(1999, 12, 31))
+#: midnight of a DATES entry compares equal to it after promotion.
+TIMESTAMPS = (datetime.datetime(2020, 1, 2), datetime.datetime(2020, 1, 2, 9),
+              datetime.datetime(1999, 12, 31, 23, 59, 59))
 
 CAST_TYPES = (
     n.TypeName("INT", dialect="cdw"),
@@ -80,12 +84,14 @@ def _random_value(rng, name):
         return rng.choice(STRINGS)
     if name == "B":
         return rng.random() < 0.5
+    if name == "TS":
+        return rng.choice(TIMESTAMPS)
     return rng.choice(DATES)
 
 
 def _literal(rng):
     pool = rng.choice((INTS, FLOATS, DECIMALS, STRINGS, DATES,
-                       (None, True, False)))
+                       TIMESTAMPS, (None, True, False)))
     return n.Literal(rng.choice(pool))
 
 
@@ -294,3 +300,68 @@ def test_unsupported_nodes_leave_the_vector_path(expr):
     ctx.bind("T", table.column_names, table.materialized_rows()[0])
     with pytest.raises(CdwError):
         compile_expr(expr)(Frame(ctx, None))
+
+
+_MIXED_DATES = (
+    n.ColumnRef("DT"),
+    n.ColumnRef("TS"),
+    n.FuncCall("COALESCE", [n.ColumnRef("DT"), n.ColumnRef("TS")]),
+    n.CaseExpr([n.WhenClause(n.ColumnRef("B"), n.ColumnRef("DT"))],
+               n.ColumnRef("TS")),
+    n.FuncCall("COALESCE", [n.ColumnRef("DT"), n.ColumnRef("S")]),
+    n.FuncCall("COALESCE", [n.ColumnRef("DT"), n.ColumnRef("I")]),
+)
+
+
+@pytest.mark.parametrize("op", ("=", "<>", "<", "<=", ">", ">="))
+@pytest.mark.parametrize("constant", DATES + TIMESTAMPS[:1])
+def test_date_constant_compare_mixes(op, constant):
+    """``vector <op> DATE`` and ``DATE <op> vector`` over columns that
+    mix dates, timestamps (promoted to midnight), NULLs and values that
+    cannot compare with a date."""
+    rng = random.Random(7)
+    table = _table(rng, 40)
+    rows = table.materialized_rows()
+    outcomes = set()
+    for operand in _MIXED_DATES:
+        for left, right in ((operand, n.Literal(constant)),
+                            (n.Literal(constant), operand)):
+            for sel in (None, list(range(0, 40, 3))):
+                outcomes.add(_check(n.BinaryOp(op, left, right),
+                                    table, rows, sel))
+    assert "agreed" in outcomes
+
+
+def test_date_column_against_date_constant_skips_align(monkeypatch):
+    """A DATE column against a DATE constant compares values directly;
+    only the timestamps of a mixed vector go through ``_compare``."""
+    from repro.cdw import expressions
+
+    calls = []
+    real = expressions._compare
+
+    def counting(op, left, right):
+        calls.append((left, right))
+        return real(op, left, right)
+
+    monkeypatch.setattr(expressions, "_compare", counting)
+    table = _table(random.Random(3), 40)
+    rows = table.materialized_rows()
+    cutoff = n.Literal(datetime.date(2000, 1, 1))
+    assert _check(n.BinaryOp(">=", n.ColumnRef("DT"), cutoff),
+                  table, rows, None) == "agreed"
+    assert _check(n.BinaryOp("<", cutoff, n.ColumnRef("DT")),
+                  table, rows, None) == "agreed"
+    calls.clear()
+    layout = prepare_layout(table.column_names)
+    for expr in (n.BinaryOp(">=", n.ColumnRef("DT"), cutoff),
+                 n.BinaryOp("<", cutoff, n.ColumnRef("DT"))):
+        vec_values(compile_vector(expr, layout, "T")(
+            ColumnBatch(table, 0, len(rows))), len(rows))
+    assert calls == []
+    mixed = n.CaseExpr([n.WhenClause(n.ColumnRef("B"), n.ColumnRef("DT"))],
+                       n.ColumnRef("TS"))
+    vec_values(compile_vector(n.BinaryOp(">=", mixed, cutoff), layout, "T")(
+        ColumnBatch(table, 0, len(rows))), len(rows))
+    assert calls
+    assert all(type(left) is datetime.datetime for left, _ in calls)
